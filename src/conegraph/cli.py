@@ -8,7 +8,6 @@ error.
 
 import argparse
 import json
-import os
 import sys
 
 from .construct import build
@@ -24,8 +23,6 @@ from .render import render_svg
 from .routing import greedy_route
 from .voidcheck import check_void_free, witness_report_dict
 
-THREADS_ENV = "CONEGRAPH_THREADS"
-
 
 class CliError(Exception):
     pass
@@ -35,7 +32,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _read_thread_cap()
         return args.handler(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -167,21 +163,6 @@ def _read_nodes(args):
     if args.format == "csv":
         return node_set_from_csv(text)
     return node_set_from_json(text)
-
-
-def _read_thread_cap() -> int:
-    """Parallelism cap from the environment. The reference implementation
-    evaluates sequentially, which any cap >= 1 satisfies."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise CliError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 if __name__ == "__main__":

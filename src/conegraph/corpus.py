@@ -13,7 +13,7 @@ import importlib.resources
 import random
 from dataclasses import dataclass
 
-from .construct import build, undirect, build_directed_theta, build_directed_yao
+from .construct import build
 from .geometry import TAU, Point, clockwise_angle_from_north, cone_of
 from .model import THETA, YAO, FAMILIES, NodeSet, distance, graphs_equal, node_set_from_json
 from .voidcheck import check_void_free, has_void
@@ -87,11 +87,10 @@ def validate_entry(entry: CorpusEntry) -> list[str]:
         if not distance(nodes.point_of(label), nodes.points[v]) > radius:
             violations.append(f"{label} inside C_v")
     for k in entry.applicable_k:
-        yao = undirect(build_directed_yao(nodes, k))
-        theta = undirect(build_directed_theta(nodes, k))
-        if not graphs_equal(yao, theta):
+        graphs = {family: build(nodes, family, k) for family in FAMILIES}
+        if not graphs_equal(graphs[YAO], graphs[THETA]):
             violations.append(f"yao and theta graphs differ at k={k}")
-        for family, g in ((YAO, yao), (THETA, theta)):
+        for family, g in graphs.items():
             pairs = {(w.u, w.v) for w in check_void_free(g).witnesses}
             if (u, v) not in pairs:
                 violations.append(f"{family} graph at k={k} lacks the ({u_id},{v_id}) witness")
@@ -155,7 +154,7 @@ def search_counterexample(
 
     With n_nodes=None each trial draws its size from 4..8. Deterministic
     given (family, k, n_nodes, seed, budget). Rejects k outside 1..5,
-    where no counterexample exists.
+    where no counterexample exists, and a budget below one trial.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -163,13 +162,15 @@ def search_counterexample(
         raise ValueError("k outside 1..5: theorem guarantees no counterexample")
     if n_nodes is not None and n_nodes < 2:
         raise ValueError(f"need at least two nodes, got {n_nodes}")
+    if budget < 1:
+        raise ValueError(f"trial budget must be at least 1, got {budget}")
     rng = random.Random(seed)
     for trial in range(1, budget + 1):
         n = n_nodes if n_nodes is not None else rng.randint(4, 8)
         nodes = NodeSet(zip((f"p{i}" for i in range(n)), _sample_points(rng, n)))
-        if has_void(build(nodes, family, k)):
-            report = check_void_free(build(nodes, family, k))  # sound by construction
-            assert not report.void_free
+        g = build(nodes, family, k)
+        if has_void(g):
+            assert not check_void_free(g).void_free  # sound by construction
             return SearchResult(nodes=nodes, trials=trial)
     return SearchResult(nodes=None, trials=budget)
 

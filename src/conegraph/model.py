@@ -156,11 +156,12 @@ class GeometricGraph:
 
     @cached_property
     def _dist_rows(self) -> list[list[float]]:
-        # same expression as distance() and dist_matrix, so all three
-        # round identically
-        return [[distance(p, q) for q in self.nodes.points] for p in self.nodes.points]
+        # list rows of dist_matrix, for per-hop scalar lookups in routing
+        return self.dist_matrix.tolist()
 
     def dist(self, u: int, v: int) -> float:
+        self._check_node(u)
+        self._check_node(v)
         return self._dist_rows[u][v]
 
     def _check_node(self, u: int) -> None:
@@ -226,11 +227,7 @@ def node_set_to_json(nodes: NodeSet) -> str:
 
 
 def node_set_from_json(text: str) -> NodeSet:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    return node_set_from_dict(data)
+    return node_set_from_dict(_load_json(text))
 
 
 def node_set_to_csv(nodes: NodeSet) -> str:
@@ -264,13 +261,18 @@ def graph_to_dict(g: GeometricGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> GeometricGraph:
+    """Inverse of graph_to_dict. k and the edge endpoints must be JSON
+    integers and directed a JSON bool; nothing is coerced."""
     try:
         nodes = node_set_from_dict({"nodes": data["nodes"]})
-        edges = tuple(sorted((int(a), int(b)) for a, b in data["edges"]))
-        return GeometricGraph(
+        edges = tuple(sorted((_json_int(a), _json_int(b)) for a, b in data["edges"]))
+        directed = data["directed"]
+        if not isinstance(directed, bool):
+            raise ValueError(f"directed must be true or false, got {directed!r}")
+        return GeometricGraph(  # validates k
             family=data["family"],
-            k=int(data["k"]),
-            directed=bool(data["directed"]),
+            k=data["k"],
+            directed=directed,
             nodes=nodes,
             edges=edges,
         )
@@ -278,13 +280,22 @@ def graph_from_dict(data: dict) -> GeometricGraph:
         raise ValueError(f"malformed graph data: {exc}") from exc
 
 
+def _json_int(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"edge endpoint must be an integer, got {value!r}")
+    return value
+
+
 def graph_to_json(g: GeometricGraph) -> str:
     return json.dumps(graph_to_dict(g), indent=2) + "\n"
 
 
 def graph_from_json(text: str) -> GeometricGraph:
+    return graph_from_dict(_load_json(text))
+
+
+def _load_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
-    return graph_from_dict(data)

@@ -13,9 +13,6 @@ def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None)
     """SVG document for a graph; highlight_pair is a pair of node indices."""
     pts = g.nodes.points
     ids = g.nodes.ids
-    if highlight_pair is not None:
-        for idx in highlight_pair:
-            g._check_node(idx)
 
     # SVG's y-axis points down; flip so north stays up in the image.
     xs = [p.x for p in pts]
@@ -24,6 +21,8 @@ def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None)
     min_y, max_y = min(ys), max(ys)
     if highlight_pair is not None:
         u, v = highlight_pair
+        g._check_node(u)
+        g._check_node(v)
         r = distance(pts[u], pts[v])
         min_x = min(min_x, xs[v] - r)
         max_x = max(max_x, xs[v] + r)
@@ -47,8 +46,6 @@ def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None)
         f'<title>{g.family} graph, k={g.k}</title>',
     ]
     if highlight_pair is not None:
-        u, v = highlight_pair
-        r = distance(pts[u], pts[v])
         parts.append(
             f'<circle class="aux-circle" cx="{_fmt(xs[v])}" cy="{_fmt(ys[v])}" '
             f'r="{_fmt(r)}" fill="none" stroke="#888888" '

@@ -22,42 +22,33 @@ def greedy_step(g: GeometricGraph, u: int, t: int) -> int | None:
     g._check_node(t)
     if u == t:
         raise ValueError("already delivered: node is the target")
-    best = _best_neighbor(g, u, t)
-    if best is None or best[0] >= g.dist(u, t):
-        return None
-    return best[1]
+    return _next_hop(g, u, t)[1]
 
 
 def greedy_route(g: GeometricGraph, s: int, t: int) -> RouteResult:
     """Forward greedily from s until t is reached or a void is hit."""
     g._check_node(s)
     g._check_node(t)
-    if s == t:
-        return RouteResult(delivered=True, path=(s,))
     path = [s]
-    u = s
-    while u != t:
-        nxt = greedy_step(g, u, t)
+    while path[-1] != t:
+        u = path[-1]
+        best, nxt = _next_hop(g, u, t)
         if nxt is None:
-            best = _best_neighbor(g, u, t)
             return RouteResult(
-                delivered=False,
-                path=tuple(path),
-                stuck=u,
-                best_neighbor_distance=best[0] if best else math.inf,
+                delivered=False, path=tuple(path), stuck=u, best_neighbor_distance=best
             )
         path.append(nxt)
-        u = nxt
         if len(path) > len(g.nodes):  # unreachable: distance to t strictly decreases
             raise RuntimeError("greedy route revisited a node")
     return RouteResult(delivered=True, path=tuple(path))
 
 
-def _best_neighbor(g: GeometricGraph, u: int, t: int) -> tuple[float, int] | None:
+def _next_hop(g: GeometricGraph, u: int, t: int) -> tuple[float, int | None]:
+    """Distance to t of u's neighbor nearest t (+inf when u is isolated),
+    and that neighbor, or None when it is not strictly closer to t than u."""
     row = g._dist_rows[t]
-    best = None
+    best, nxt = math.inf, None
     for w in g.neighbors(u):
-        dw = row[w]
-        if best is None or dw < best[0]:
-            best = (dw, w)
-    return best
+        if row[w] < best:  # strict: ties keep the smallest index
+            best, nxt = row[w], w
+    return best, (nxt if best < row[u] else None)

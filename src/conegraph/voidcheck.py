@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import angle_at, bisector_projection, cone_of
-from .model import GeometricGraph, NodeSet, VoidWitness, distance
+from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness, distance
 from .construct import build_directed_theta, build_directed_yao
 from .routing import greedy_route
 
@@ -36,51 +36,36 @@ def check_void_free(g: GeometricGraph) -> VoidReport:
     strictly closer to v; witnesses come out sorted by (u, v). A
     single-node graph is vacuously void-free.
     """
-    if g.directed:
-        raise ValueError("void-freeness is defined on the undirected graph")
-    n = len(g.nodes)
-    witnesses: list[VoidWitness] = []
-    if n >= 2:
-        dist = g.dist_matrix
-        for u in range(n):
-            nbrs = g.neighbors(u)
-            if nbrs:
-                best = dist[list(nbrs)].min(axis=0)
-            else:
-                best = np.full(n, math.inf)
-            mask = best >= dist[u]
-            mask[u] = False
-            for v in np.nonzero(mask)[0]:
-                witnesses.append(
-                    VoidWitness(u, int(v), float(dist[u, v]), float(best[v]))
-                )
-    return VoidReport(void_free=not witnesses, witnesses=tuple(witnesses))
+    witnesses = tuple(_void_witnesses(g))
+    return VoidReport(void_free=not witnesses, witnesses=witnesses)
 
 
 def has_void(g: GeometricGraph) -> bool:
     """Short-circuit variant of check_void_free: True at the first void.
 
-    Same comparisons and distances as the full scan, just without
-    collecting witnesses; used in bulk by the counterexample search.
+    Runs the same scan and stops at its first witness; used in bulk by
+    the counterexample search.
     """
+    return next(_void_witnesses(g), None) is not None
+
+
+def _void_witnesses(g: GeometricGraph):
+    """The pair scan: yields every witness in (u, v) order."""
     if g.directed:
         raise ValueError("void-freeness is defined on the undirected graph")
     n = len(g.nodes)
     if n < 2:
-        return False
-    rows = g._dist_rows
-    adjacency = g.adjacency
-    for u in range(n):
-        nbrs = adjacency[u]
-        row_u = rows[u]
-        for v in range(n):
-            if v == u:
-                continue
-            duv = row_u[v]
-            row_v = rows[v]
-            if not any(row_v[w] < duv for w in nbrs):
-                return True
-    return False
+        return
+    dist = g.dist_matrix
+    for u, nbrs in enumerate(g.adjacency):
+        if nbrs:
+            best = dist[list(nbrs)].min(axis=0)
+        else:
+            best = np.full(n, math.inf)
+        mask = best >= dist[u]
+        mask[u] = False
+        for v in np.nonzero(mask)[0]:
+            yield VoidWitness(u, int(v), float(dist[u, v]), float(best[v]))
 
 
 def check_by_routing(g: GeometricGraph) -> VoidReport:
@@ -138,9 +123,24 @@ def check_yao_cone_relay(nodes: NodeSet, k: int) -> list[str]:
     than u is. Collinear triples keep the strict distance inequality at
     angle zero. Returns a list of violation descriptions, empty on pass.
     """
+    return _check_cone_relay(nodes, k, YAO)
+
+
+def check_theta_cone_relay(nodes: NodeSet, k: int) -> list[str]:
+    """Theta counterpart of check_yao_cone_relay for k >= 6.
+
+    The selected neighbor w must have the minimal bisector projection in
+    its cone and still be strictly closer to every other in-cone node v
+    than u is; this holds whether or not w is nearer to u than v.
+    """
+    return _check_cone_relay(nodes, k, THETA)
+
+
+def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
     if k < 6:
         raise ValueError("cone angle exceeds pi/3 below k = 6")
-    g = build_directed_yao(nodes, k)
+    build_directed = build_directed_yao if family == YAO else build_directed_theta
+    g = build_directed(nodes, k)
     violations = []
     limit = math.pi / 3 + ANGLE_TOL
     pts = nodes.points
@@ -154,41 +154,14 @@ def check_yao_cone_relay(nodes: NodeSet, k: int) -> list[str]:
             w = picks[(u, i)]
             if w == v:
                 continue
-            ang = angle_at(pu, pts[w], pts[v])
-            if ang >= limit:
-                violations.append(
-                    f"angle({w},{u},{v}) = {ang} >= pi/3 for cone {i} of node {u}"
-                )
-            if not distance(pts[w], pts[v]) < distance(pu, pts[v]):
-                violations.append(
-                    f"selected neighbor {w} of node {u} is not closer to {v}"
-                )
-    return violations
-
-
-def check_theta_cone_relay(nodes: NodeSet, k: int) -> list[str]:
-    """Theta counterpart of check_yao_cone_relay for k >= 6.
-
-    The selected neighbor w must have the minimal bisector projection in
-    its cone and still be strictly closer to every other in-cone node v
-    than u is; this holds whether or not w is nearer to u than v.
-    """
-    if k < 6:
-        raise ValueError("cone angle exceeds pi/3 below k = 6")
-    g = build_directed_theta(nodes, k)
-    violations = []
-    pts = nodes.points
-    picks = {(u, cone_of(pts[u], pts[w], k)): w for u, w in g.edges}
-    for u in range(len(pts)):
-        pu = pts[u]
-        for v in range(len(pts)):
-            if v == u:
-                continue
-            i = cone_of(pu, pts[v], k)
-            w = picks[(u, i)]
-            if w == v:
-                continue
-            if not bisector_projection(pu, pts[w], i, k) <= bisector_projection(pu, pts[v], i, k):
+            # selection: Yao's angle bound, or Theta's projection minimality
+            if family == YAO:
+                ang = angle_at(pu, pts[w], pts[v])
+                if ang >= limit:
+                    violations.append(
+                        f"angle({w},{u},{v}) = {ang} >= pi/3 for cone {i} of node {u}"
+                    )
+            elif not bisector_projection(pu, pts[w], i, k) <= bisector_projection(pu, pts[v], i, k):
                 violations.append(
                     f"selected neighbor {w} of node {u} does not minimize the "
                     f"projection in cone {i}"

@@ -205,6 +205,16 @@ def test_search_not_found_exits_1(capsys):
     assert "no counterexample" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_search_nonpositive_budget_exits_2(capsys, budget):
+    code, out, err = run(
+        capsys, "search", "--family", "yao", "--k", "1", "--budget", budget
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
 def test_search_k6_rejected(capsys):
     code, _, err = run(capsys, "search", "--family", "yao", "--k", "6")
     assert code == 2
@@ -237,21 +247,7 @@ def test_render_unwritable_output_exits_2(corpus_files, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# environment / determinism
-
-
-def test_thread_cap_validation(corpus_files, capsys, monkeypatch):
-    monkeypatch.setenv("CONEGRAPH_THREADS", "4")
-    code, _, _ = run(
-        capsys, "check", "--input", corpus_files["V0"], "--family", "yao", "--k", "2"
-    )
-    assert code == 1  # voids found, env accepted
-    monkeypatch.setenv("CONEGRAPH_THREADS", "zero")
-    code, _, err = run(
-        capsys, "check", "--input", corpus_files["V0"], "--family", "yao", "--k", "2"
-    )
-    assert code == 2
-    assert "CONEGRAPH_THREADS" in err
+# determinism
 
 
 def test_outputs_byte_identical_across_runs(corpus_files, tmp_path, capsys):

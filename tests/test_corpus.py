@@ -206,6 +206,12 @@ def test_search_budget_exhaustion_reports_trials():
     assert result.trials == 3
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_search_rejects_nonpositive_budget(budget):
+    with pytest.raises(ValueError, match="budget"):
+        search_counterexample("yao", 1, budget=budget)
+
+
 def test_search_theta_k5_eight_nodes_within_budget():
     result = search_counterexample("theta", 5, n_nodes=8, seed=0, budget=1_000_000)
     assert result.found

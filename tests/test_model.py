@@ -13,7 +13,9 @@ from conegraph.model import (
     GeometricGraph,
     NodeSet,
     distance,
+    graph_from_dict,
     graph_from_json,
+    graph_to_dict,
     graph_to_json,
     graphs_equal,
     node_set_from_csv,
@@ -133,6 +135,13 @@ def test_neighbors_unknown_node():
         g.neighbors(7)
 
 
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (2, 0), (0, 2), (True, 0), (0, False)])
+def test_dist_rejects_bad_indices(u, v):
+    g = GeometricGraph("yao", 2, False, nset((0, 0), (1, 0)), ((0, 1),))
+    with pytest.raises(ValueError, match="unknown node index"):
+        g.dist(u, v)
+
+
 def test_neighbors_symmetric_on_random_graph():
     ns = random_nodeset(25, seed=9)
     g = undirect(build_directed_yao(ns, 5))
@@ -220,6 +229,30 @@ def test_graph_json_round_trip():
         assert graphs_equal(back, g)
         for p, q in zip(back.nodes.points, g.nodes.points):
             assert p.x == q.x and p.y == q.y
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("directed", "false"),
+        ("directed", 0),
+        ("k", 3.9),
+        ("k", 3.0),
+        ("k", "3"),
+        ("k", True),
+        ("edges", [[0, 1.0]]),
+        ("edges", [[0.0, 1]]),
+        ("edges", [[False, True]]),
+        ("edges", [["0", 1]]),
+    ],
+)
+def test_graph_from_dict_rejects_non_json_types(field, value):
+    g = undirect(build_directed_yao(nset((0, 0), (1, 0), (0, 1)), 3))
+    data = graph_to_dict(g)
+    assert g.edges and graph_from_dict(data).edges == g.edges
+    data[field] = value
+    with pytest.raises(ValueError):
+        graph_from_dict(data)
 
 
 def test_undirected_export_uses_sorted_low_high_pairs():

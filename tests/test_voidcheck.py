@@ -85,12 +85,36 @@ def test_witnesses_sorted_and_sound():
             assert best >= duv
 
 
+def reference_void_pairs(g):
+    """Pure-Python pair scan on scalar distances, the reference for the
+    numpy kernel behind check_void_free and has_void."""
+    pts = g.nodes.points
+    return [
+        (u, v)
+        for u in range(len(pts))
+        for v in range(len(pts))
+        if u != v
+        and not any(distance(pts[w], pts[v]) < distance(pts[u], pts[v]) for w in g.neighbors(u))
+    ]
+
+
 def test_has_void_agrees_with_full_scan():
+    graphs = []
     for seed in range(40):
         k = 1 + seed % 8
         ns = random_nodeset(3 + seed % 12, seed=seed)
-        g = build(ns, "yao" if seed % 2 else "theta", k)
-        assert has_void(g) == (not check_void_free(g).void_free)
+        graphs.append(build(ns, "yao" if seed % 2 else "theta", k))
+    lattice = NodeSet((f"g{x}_{y}", Point(x, y)) for x in range(12) for y in range(12))
+    collinear = NodeSet((f"c{i}", Point(i, 2 * i)) for i in range(9))
+    for family in ("yao", "theta"):
+        graphs.extend(build(lattice, family, k) for k in range(1, 13))
+        graphs.extend(build(collinear, family, k) for k in (1, 2, 3, 6))
+        graphs.extend(build(random_nodeset(n, seed=n), family, k)
+                      for n in (1, 2) for k in (1, 6))
+    for g in graphs:
+        pairs = [(w.u, w.v) for w in check_void_free(g).witnesses]
+        assert pairs == reference_void_pairs(g)
+        assert has_void(g) == bool(pairs)
 
 
 def test_routing_oracle_agrees_on_random_graphs():
