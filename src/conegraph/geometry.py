@@ -64,8 +64,7 @@ def bisector_direction(i: int, k: int) -> tuple[float, float]:
     """Unit vector along the bisector of cone i, at clockwise angle
     (i - 1/2)*2pi/k from north."""
     _check_cone_index(i, k)
-    theta = (i - 0.5) * TAU / k
-    return (math.sin(theta), math.cos(theta))
+    return _bisector(i, k)
 
 
 def bisector_projection(origin: Point, p: Point, i: int, k: int) -> float:
@@ -95,6 +94,12 @@ def angle_at(vertex: Point, p: Point, q: Point) -> float:
     # atan2 of (|cross|, dot) stays well-conditioned near 0 and pi,
     # unlike acos of the normalized dot product
     return math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by)
+
+
+def _bisector(i, k: int) -> tuple[float, float]:
+    # unchecked; i may be an integral float, as the construction kernel has it
+    theta = (i - 0.5) * TAU / k
+    return (math.sin(theta), math.cos(theta))
 
 
 def _check_k(k: int) -> None:

@@ -95,25 +95,24 @@ class GeometricGraph:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError(f"cone count must be an integer >= 1, got {self.k!r}")
         n = len(self.nodes)
-        seen = set()
-        out_deg: dict[int, int] = {}
+        prev = (-1, -1)
+        out_deg = 0  # edges so far from prev's source; sorted edges group by source
         for e in self.edges:
             a, b = e
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge {e} references a missing node")
             if a == b:
                 raise ValueError(f"self-loop at node {a}")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
+            # strictly increasing edges are sorted and hold no edge twice
+            if e <= prev:
+                raise ValueError(f"duplicate edge {e}" if e == prev else "edges must be sorted")
             if self.directed:
-                out_deg[a] = out_deg.get(a, 0) + 1
+                out_deg = out_deg + 1 if a == prev[0] else 1
+                if out_deg > self.k:
+                    raise ValueError(f"out-degree exceeds k={self.k}")
             elif a > b:
                 raise ValueError(f"undirected edge {e} not normalized as (i, j) with i < j")
-        if self.directed and out_deg and max(out_deg.values()) > self.k:
-            raise ValueError(f"out-degree exceeds k={self.k}")
-        if list(self.edges) != sorted(self.edges):
-            raise ValueError("edges must be sorted")
+            prev = e
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:

@@ -80,3 +80,22 @@ def test_wrapped_names_are_the_ones_called(harness):
     } <= names
     assert tracer.counts["corpus.trials"] == result.trials
     assert tracer.counts["geometry.cone_assignments"] > 0
+
+
+def test_cone_of_count_sees_relay_checks_only(harness):
+    # run.traced_run counts cone_of where construct and voidcheck look it
+    # up; the kernel assigns cones in numpy, so only relay checks count
+    run, tracing = harness
+    lib = load_lib(run)
+    built, relayed = tracing.Tracer(), tracing.Tracer()
+    try:
+        built.count_calls(lib.construct, "cone_of", "geometry.cone_assignments")
+        relayed.count_calls(lib.voidcheck, "cone_of", "geometry.cone_assignments")
+        nodes = lib.corpus.random_nodeset(12, seed=7)
+        lib.construct.build(nodes, "theta", 6)
+        assert lib.voidcheck.check_yao_cone_relay(nodes, 6) == []
+    finally:
+        relayed.restore()
+        built.restore()
+    assert built.counts["geometry.cone_assignments"] == 0
+    assert relayed.counts["geometry.cone_assignments"] > 0

@@ -1,10 +1,19 @@
-"""Tests for Yao/Theta construction against independent rescan oracles."""
+"""Tests for Yao/Theta construction against independent rescan oracles,
+and of the numpy kernel against the scalar per-pair cone scan."""
 
 import math
+import random
 
 import pytest
 
-from conegraph.construct import build, build_directed_theta, build_directed_yao, undirect
+from conegraph.construct import (
+    _BLOCK_PAIRS,
+    _build_directed_reference,
+    build,
+    build_directed_theta,
+    build_directed_yao,
+    undirect,
+)
 from conegraph.corpus import random_nodeset
 from conegraph.geometry import Point, bisector_projection, cone_of
 from conegraph.model import NodeSet, distance, graphs_equal
@@ -150,7 +159,117 @@ def test_build_rejects_bad_family_and_k():
         build_directed_yao(ns, 0)
 
 
+@pytest.mark.parametrize("k", [0, -2, True, 2.5, "6"])
+@pytest.mark.parametrize("n", [1, 5])
+def test_bad_k_raises_value_error(k, n):
+    ns = random_nodeset(n, seed=42)
+    for family in ("yao", "theta"):
+        for directed in (True, False):
+            with pytest.raises(ValueError, match="cone count"):
+                build(ns, family, k, directed=directed)
+
+
 def test_single_node_graph_has_no_edges():
     ns = NodeSet([("solo", Point(0, 0))])
     g = build_directed_yao(ns, 5)
     assert g.edges == ()
+
+
+# ---------------------------------------------------------------------------
+# kernel against the scalar cone scan
+
+
+def assert_matches_reference(nodes, k, family):
+    built = build(nodes, family, k, directed=True)
+    want = _build_directed_reference(nodes, k, family)
+    assert built.edges == want.edges, (family, k, len(nodes))
+    assert built.warning == want.warning
+
+
+def nodes_at(coords):
+    return NodeSet((f"p{i}", Point(x, y)) for i, (x, y) in enumerate(coords))
+
+
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_kernel_matches_reference_on_lattice(family):
+    lattice = nodes_at((x, y) for x in range(12) for y in range(12))
+    for k in range(1, 17):
+        assert_matches_reference(lattice, k, family)
+
+
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_kernel_matches_reference_on_boundary_rays_and_ties(family):
+    # the origin sees points exactly on the N/E/S/W rays and the 45 degree
+    # diagonals, two at each direction, so ties and cone boundaries meet
+    rays = [(0, 0)] + [(r * dx, r * dy) for r in (1, 2)
+                       for dx, dy in ((0, 1), (1, 1), (1, 0), (1, -1),
+                                      (0, -1), (-1, -1), (-1, 0), (-1, 1))]
+    # every point but the centre is at distance 5 from it
+    circle = [(0, 0), (5, 0), (0, 5), (-5, 0), (0, -5),
+              (3, 4), (4, 3), (-3, 4), (4, -3), (-4, -3), (-3, -4)]
+    collinear = [(i, 2 * i + 1) for i in range(-4, 5)]
+    # angle * k / 2pi underflows to 0 for the first point; it is in cone 1
+    tiny_angle = [(0, 0), (5e-324, 1.0), (0.5, 1.0), (-0.5, 1.0)]
+    for coords in (rays, circle, collinear, tiny_angle):
+        for k in range(1, 17):
+            assert_matches_reference(nodes_at(coords), k, family)
+
+
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_kernel_matches_reference_on_one_and_two_nodes(family):
+    for coords in ([(0.5, -2.0)], [(0, 0), (0, 1)], [(0, 0), (3, -1e-9)]):
+        for k in range(1, 17):
+            assert_matches_reference(nodes_at(coords), k, family)
+
+
+def test_kernel_matches_reference_on_random_sets():
+    rng = random.Random(2013)
+    for trial in range(2000):
+        n = rng.randint(2, 60)
+        k = rng.randint(1, 16)
+        family = rng.choice(["yao", "theta"])
+        assert_matches_reference(random_nodeset(n, seed=trial), k, family)
+
+
+@pytest.mark.parametrize("n", [300, 257])
+def test_kernel_matches_reference_across_blocks(n):
+    rows = _BLOCK_PAIRS // n
+    assert rows < n and n % rows, "n must span blocks and leave a partial last one"
+    ns = random_nodeset(n, seed=n)
+    assert_matches_reference(ns, 6, "yao")
+    assert_matches_reference(ns, 5, "theta")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_kernel_matches_reference_at_extreme_scales(scale, family):
+    # squared differences underflow to 0 at 1e-200 and overflow to inf at
+    # 1e200; the kernel must do whatever the scan does there
+    ns = nodes_at([(0, 0), (scale, 0), (3 * scale, 0), (0, scale)])
+    for k in range(1, 17):
+        assert_matches_reference(ns, k, family)
+
+
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_kernel_memory_does_not_grow_with_k(family):
+    # cones far outnumber nodes; a per-cone table would need k entries
+    ns = random_nodeset(20, seed=43)
+    for k in (10**9, 10**18):
+        assert_matches_reference(ns, k, family)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kernel_picks_one_node_per_cone_when_differences_overflow():
+    # coordinate differences of 3.4e308 are inf, and theta keys inf - inf
+    # are NaN; every non-empty cone must still get exactly one pick
+    big = 1.7e308
+    ns = nodes_at([(big, big), (-big, -big), (0, 0), (big, -big), (-big, big)])
+    pts = ns.points
+    for k in range(1, 9):
+        g = build_directed_theta(ns, k)
+        for u in range(len(pts)):
+            picked = [cone_of(pts[u], pts[w], k) for s, w in g.edges if s == u]
+            occupied = {cone_of(pts[u], pts[v], k) for v in range(len(pts)) if v != u}
+            assert sorted(picked) == sorted(occupied), (k, u)
+        assert_matches_reference(ns, k, "yao")

@@ -104,6 +104,22 @@ def test_graph_rejects_unnormalized_undirected_edge():
         GeometricGraph("yao", 1, False, ns, ((1, 0),))
 
 
+def test_graph_rejects_duplicate_edge():
+    ns = nset((0, 0), (1, 0), (0, 1))
+    for directed in (True, False):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            GeometricGraph("yao", 2, directed, ns, ((0, 1), (0, 1), (0, 2)))
+
+
+def test_graph_rejects_unsorted_edges():
+    ns = nset((0, 0), (1, 0), (0, 1))
+    for directed in (True, False):
+        with pytest.raises(ValueError, match="edges must be sorted"):
+            GeometricGraph("yao", 2, directed, ns, ((0, 2), (0, 1)))
+    with pytest.raises(ValueError, match="edges must be sorted"):
+        GeometricGraph("yao", 2, True, ns, ((1, 0), (0, 1)))
+
+
 def test_graph_rejects_out_degree_above_k():
     ns = nset((0, 0), (1, 0), (0, 1))
     with pytest.raises(ValueError, match="out-degree"):
