@@ -26,7 +26,12 @@ def greedy_step(g: GeometricGraph, u: int, t: int) -> int | None:
 
 
 def greedy_route(g: GeometricGraph, s: int, t: int) -> RouteResult:
-    """Forward greedily from s until t is reached or a void is hit."""
+    """Forward greedily from s until t is reached or a void is hit.
+
+    Raises ValueError on a directed graph, even when s == t.
+    """
+    if g.directed:
+        raise ValueError("greedy forwarding is defined on the undirected graph")
     g._check_node(s)
     g._check_node(t)
     path = [s]

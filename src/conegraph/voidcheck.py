@@ -5,7 +5,9 @@ A graph is void-free when every node u has, for every other node v,
 some neighbor strictly closer to v than u itself. The exhaustive pair
 scan is the reference semantics; check_by_routing is an independent
 oracle exploiting the equivalence with greedy forwarding succeeding
-between all ordered pairs.
+between all ordered pairs. It tabulates every node's next hop toward
+every target, finds where all n(n-1) routes end by pointer doubling on
+that table, and replays greedy_route once per stuck (node, target) pair.
 """
 
 import math
@@ -69,29 +71,50 @@ def _void_witnesses(g: GeometricGraph):
 
 
 def check_by_routing(g: GeometricGraph) -> VoidReport:
-    """Independent void oracle: run greedy forwarding between every
+    """Independent void oracle: resolve greedy forwarding between every
     ordered pair and report where packets get stuck.
 
-    The void_free verdict always agrees with check_void_free; each
-    stuck pair (stuck node, target) is itself a witness pair, though
-    greedy may stall at an intermediate node rather than the source.
+    hop[u, t] is greedy_route's next hop from u toward t, or u itself
+    when no neighbor is strictly closer to t. Pointer doubling over hop
+    gives every route's end node in O(log n) array steps; each distinct
+    (end, t) with end != t is a witness, replayed once through
+    greedy_route for its neighbor distance. The void_free verdict always
+    agrees with check_void_free. Raises RuntimeError if a route never
+    settles or a replay is not stuck at its source, both unreachable
+    because distances to the target strictly decrease along a route.
     """
     if g.directed:
         raise ValueError("void-freeness is defined on the undirected graph")
     n = len(g.nodes)
-    stuck: dict[tuple[int, int], float] = {}
-    for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            result = greedy_route(g, s, t)
-            if not result.delivered:
-                stuck.setdefault((result.stuck, t), result.best_neighbor_distance)
-    witnesses = tuple(
-        VoidWitness(u, v, g.dist(u, v), best)
-        for (u, v), best in sorted(stuck.items())
-    )
-    return VoidReport(void_free=not witnesses, witnesses=witnesses)
+    dist = g.dist_matrix  # symmetric: dist[t, w] is w's distance to t
+    targets = np.arange(n)
+    hop = np.empty((n, n), dtype=np.intp)
+    for u, nbrs in enumerate(g.adjacency):
+        hop[u] = u
+        if nbrs:
+            nbrs = np.array(nbrs)
+            cols = dist[:, nbrs]
+            first = cols.argmin(axis=1)  # sorted neighbors: ties go to the smallest index
+            moves = cols[targets, first] < dist[:, u]
+            hop[u, moves] = nbrs[first[moves]]
+    end = hop
+    for _ in range(n.bit_length() + 1):
+        nxt = end[end, targets]
+        if np.array_equal(nxt, end):
+            break
+        end = nxt
+    if not np.array_equal(hop[end, targets], end):
+        raise RuntimeError("greedy route revisited a node")
+    stuck = np.zeros((n, n), dtype=bool)
+    stuck[end, targets] = True
+    stuck[targets, targets] = False
+    witnesses = []
+    for u, v in zip(*(a.tolist() for a in np.nonzero(stuck))):
+        result = greedy_route(g, u, v)
+        if result.path != (u,):  # a one-node path toward v != u is stuck at u
+            raise RuntimeError(f"greedy route {u} -> {v} is not stuck at its source")
+        witnesses.append(VoidWitness(u, v, g.dist(u, v), result.best_neighbor_distance))
+    return VoidReport(void_free=not witnesses, witnesses=tuple(witnesses))
 
 
 def witness_report_dict(g: GeometricGraph, report: VoidReport) -> dict:

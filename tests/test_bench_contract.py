@@ -99,3 +99,21 @@ def test_cone_of_count_sees_relay_checks_only(harness):
         built.restore()
     assert built.counts["geometry.cone_assignments"] == 0
     assert relayed.counts["geometry.cone_assignments"] > 0
+
+
+def test_routing_count_is_one_replay_per_witness(harness):
+    # check_by_routing resolves every route in numpy and calls greedy_route,
+    # by the name the harness wraps, once per witness
+    run, tracing = harness
+    lib = load_lib(run)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, lib)
+        g = lib.construct.build(lib.corpus.random_nodeset(30, seed=11), "yao", 2)
+        report = lib.voidcheck.check_by_routing(g)
+    finally:
+        tracer.restore()
+    assert report.witnesses
+    assert tracer.counts["routing.routes"] == len(report.witnesses)
+    assert tracer.counts["routing.stuck"] == len(report.witnesses)
+    assert tracer.counts["routing.hops"] == 0

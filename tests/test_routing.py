@@ -43,6 +43,14 @@ def test_step_rejects_directed_graph():
         greedy_step(build_directed_yao(ns, 3), 0, 1)
 
 
+@pytest.mark.parametrize("s, t", [(0, 0), (0, 1)])
+def test_route_rejects_directed_graph(s, t):
+    g = build_directed_yao(random_nodeset(5, seed=1), 3)
+    # raised before the first hop, not by the adjacency lookup
+    with pytest.raises(ValueError, match="greedy forwarding is defined on the undirected graph"):
+        greedy_route(g, s, t)
+
+
 def test_isolated_node_yields_void_signal():
     ns = NodeSet([("u", Point(0, 0)), ("v", Point(1, 0)), ("w", Point(5, 5))])
     g = GeometricGraph("yao", 2, False, ns, ((0, 1),))

@@ -8,8 +8,10 @@ import pytest
 from conegraph.construct import build, build_directed_yao
 from conegraph.corpus import load_corpus, random_nodeset
 from conegraph.geometry import TAU, Point
-from conegraph.model import GeometricGraph, NodeSet, distance
+from conegraph.model import GeometricGraph, NodeSet, VoidWitness, distance
+from conegraph.routing import greedy_route
 from conegraph.voidcheck import (
+    VoidReport,
     check_by_routing,
     check_theta_cone_relay,
     check_void_free,
@@ -132,6 +134,53 @@ def test_routing_oracle_agrees_on_random_graphs():
         assert routed_pairs <= scan_pairs
 
 
+def reference_routing_report(g):
+    """Greedy-route every ordered pair and collect the (stuck node, target)
+    pairs: the reference for the next-hop table behind check_by_routing."""
+    n = len(g.nodes)
+    stuck = {}
+    for s in range(n):
+        for t in range(n):
+            if s == t:
+                continue
+            result = greedy_route(g, s, t)
+            if not result.delivered:
+                stuck.setdefault((result.stuck, t), result.best_neighbor_distance)
+    witnesses = tuple(
+        VoidWitness(u, v, g.dist(u, v), best) for (u, v), best in sorted(stuck.items())
+    )
+    return VoidReport(void_free=not witnesses, witnesses=witnesses)
+
+
+def test_routing_oracle_matches_reference():
+    graphs = []
+    for seed in range(240):
+        n = 1 + seed % 30
+        k = 1 + (seed * 7) % 12
+        family = "yao" if seed % 2 else "theta"
+        graphs.append(build(random_nodeset(n, seed=2000 + seed), family, k))
+    lattice = NodeSet((f"g{x}_{y}", Point(x, y)) for x in range(12) for y in range(12))
+    collinear = NodeSet((f"c{i}", Point(i, 2 * i)) for i in range(9))
+    # one family per lattice k: each 144-node reference costs 20,592 routes
+    graphs.extend(build(lattice, ("yao", "theta")[k % 2], k) for k in range(1, 13))
+    for family in ("yao", "theta"):
+        graphs.extend(build(collinear, family, k) for k in (1, 2, 3, 6))
+        graphs.extend(build(random_nodeset(n, seed=n), family, k)
+                      for n in (1, 2) for k in (1, 6))
+    # u's only neighbor w is exactly as far from t as u: greedy stalls at u
+    tie = NodeSet([("u", Point(0, 0)), ("w", Point(2, 0)), ("t", Point(1, 1))])
+    graphs.append(GeometricGraph("yao", 2, False, tie, ((0, 1), (1, 2))))
+    # w is isolated: its witnesses carry an infinite neighbor distance
+    ns = NodeSet([("u", Point(0, 0)), ("v", Point(1, 0)), ("w", Point(5, 5))])
+    graphs.append(GeometricGraph("yao", 2, False, ns, ((0, 1),)))
+    for g in graphs:
+        assert check_by_routing(g) == reference_routing_report(g)
+    assert (0, 2) in {(w.u, w.v) for w in check_by_routing(graphs[-2]).witnesses}
+    isolated = [w for w in check_by_routing(graphs[-1]).witnesses if w.u == 2]
+    assert [w.v for w in isolated] == [0, 1]
+    assert all(math.isinf(w.min_neighbor_distance) for w in isolated)
+
+
 def test_adding_the_pair_edge_removes_its_witness():
     v1 = next(e for e in load_corpus() if e.name == "V1")
     g = build(v1.nodes, "yao", 4)
@@ -236,3 +285,13 @@ def test_void_free_for_k6_and_up_small_scale():
         ns = random_nodeset(2 + seed * 2, seed=seed)
         for family in ("yao", "theta"):
             assert check_void_free(build(ns, family, 6)).void_free
+
+
+@pytest.mark.xfail(strict=True, reason="dx*dx + dy*dy underflows to 0 at 1e-200 scale, "
+                   "so distinct nodes look coincident and both checkers report voids")
+def test_void_free_for_k6_at_tiny_scale():
+    ns = NodeSet([("a", Point(0, 0)), ("b", Point(1e-200, 0)),
+                  ("c", Point(3e-200, 0)), ("d", Point(0, 1e-200))])
+    g = build(ns, "yao", 6)
+    assert check_void_free(g).void_free
+    assert check_by_routing(g).void_free
