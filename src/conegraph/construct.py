@@ -89,17 +89,14 @@ def _build_directed(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
         # dx, dy are v - u for source rows u and target columns v
         dx = x - x[r0:r0 + rows, None]
         dy = y - y[r0:r0 + rows, None]
-        angle = np.arctan2(dx, dy)
-        np.add(angle, TAU, out=angle, where=angle <= 0.0)
+        angle, cone = _cones(dx, dy, k)
         angle.reshape(-1)[r0::n + 1] = -1.0  # the self pair sorts first; dropped
         # The cone index is non-decreasing in the angle, so along each row's
         # angular order every cone is one contiguous run.
         at = angle.argsort(axis=1)[:, 1:]
         at += np.arange(0, angle.size, n)[:, None]
         at = at.reshape(-1)
-        cone = np.ceil(angle.take(at) * k / TAU)
-        np.maximum(cone, 1.0, out=cone)
-        np.minimum(cone, k, out=cone)
+        cone = cone.take(at)
         dx = dx.take(at)
         dy = dy.take(at)
         runs = np.empty(at.size, bool)
@@ -108,8 +105,7 @@ def _build_directed(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
         heads = runs.nonzero()[0]
         run = runs.cumsum() - 1
         if theta:
-            # one bisector per run, as geometry.bisector_direction computes it
-            bx, by = np.array([_bisector(i, k) for i in cone[heads].tolist()]).reshape(-1, 2).T
+            bx, by = _bisectors(cone[heads], k)
             key = np.abs(dx * bx[run] + dy * by[run])
             # NaN keys (dx, dy both infinite) rank as +inf; the scan instead
             # keeps a NaN that comes first in its cone
@@ -121,6 +117,27 @@ def _build_directed(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
         picks.append(np.minimum.reduceat(np.where(hit, at, angle.size), heads) + r0 * n)
     u, v = np.divmod(np.sort(np.concatenate(picks)), n)
     return _directed_graph(nodes, k, family, tuple(zip(u.tolist(), v.tolist())))
+
+
+def _cones(dx, dy, k: int):
+    """Clockwise angle from north and cone index of each direction (dx, dy),
+    by geometry.cone_of's double-precision steps; cones are integral floats
+    in 1..k, so nothing here is sized by k."""
+    angle = np.arctan2(dx, dy)
+    np.add(angle, TAU, out=angle, where=angle <= 0.0)
+    cone = np.ceil(angle * k / TAU)
+    np.maximum(cone, 1.0, out=cone)
+    np.minimum(cone, k, out=cone)
+    return angle, cone
+
+
+def _bisectors(cone, k: int):
+    """Bisector components of each cone index in the 1-d array cone, as
+    geometry.bisector_direction computes them, with one call per distinct
+    cone."""
+    vals, at = np.unique(cone, return_inverse=True)
+    bx, by = np.array([_bisector(i, k) for i in vals.tolist()]).reshape(-1, 2).T
+    return bx[at], by[at]
 
 
 def _build_directed_reference(nodes: NodeSet, k: int, family: str) -> GeometricGraph:

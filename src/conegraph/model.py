@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,10 +131,12 @@ class GeometricGraph:
         if self.directed:
             raise ValueError("adjacency is defined on the undirected graph")
         nbrs: list[list[int]] = [[] for _ in range(len(self.nodes))]
+        # edges (a, b) are sorted with a < b, so each list gets its smaller
+        # neighbors in order, then its larger ones in order: already sorted
         for a, b in self.edges:
             nbrs[a].append(b)
             nbrs[b].append(a)
-        return tuple(tuple(sorted(v)) for v in nbrs)
+        return tuple(map(tuple, nbrs))
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Nodes sharing an edge with u, ascending by index.
@@ -142,8 +145,7 @@ class GeometricGraph:
         forwarding are evaluated there, never on a union of in/out
         neighborhoods of the directed form.
         """
-        self._check_node(u)
-        return self.adjacency[u]
+        return self.adjacency[self._check_node(u)]
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:
@@ -159,13 +161,18 @@ class GeometricGraph:
         return self.dist_matrix.tolist()
 
     def dist(self, u: int, v: int) -> float:
-        self._check_node(u)
-        self._check_node(v)
-        return self._dist_rows[u][v]
+        return self._dist_rows[self._check_node(u)][self._check_node(v)]
 
-    def _check_node(self, u: int) -> None:
-        if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < len(self.nodes):
+    def _check_node(self, u) -> int:
+        """u as a plain int; any integer but a bool is accepted, numpy's
+        included, and anything else or out of range raises ValueError."""
+        try:
+            i = operator.index(u)
+        except TypeError:
+            i = None
+        if i is None or isinstance(u, bool) or not 0 <= i < len(self.nodes):
             raise ValueError(f"unknown node index {u!r}")
+        return i
 
 
 @dataclass(frozen=True)

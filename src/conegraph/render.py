@@ -20,9 +20,7 @@ def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None)
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     if highlight_pair is not None:
-        u, v = highlight_pair
-        g._check_node(u)
-        g._check_node(v)
+        u, v = map(g._check_node, highlight_pair)
         r = distance(pts[u], pts[v])
         min_x = min(min_x, xs[v] - r)
         max_x = max(max_x, xs[v] + r)

@@ -19,7 +19,8 @@ def greedy_step(g: GeometricGraph, u: int, t: int) -> int | None:
     Raises ValueError when u == t (already delivered) or on a directed
     graph.
     """
-    g._check_node(t)
+    u = g._check_node(u)
+    t = g._check_node(t)
     if u == t:
         raise ValueError("already delivered: node is the target")
     return _next_hop(g, u, t)[1]
@@ -32,8 +33,8 @@ def greedy_route(g: GeometricGraph, s: int, t: int) -> RouteResult:
     """
     if g.directed:
         raise ValueError("greedy forwarding is defined on the undirected graph")
-    g._check_node(s)
-    g._check_node(t)
+    s = g._check_node(s)
+    t = g._check_node(t)
     path = [s]
     while path[-1] != t:
         u = path[-1]

@@ -3,26 +3,47 @@ behind the k >= 6 guarantees.
 
 A graph is void-free when every node u has, for every other node v,
 some neighbor strictly closer to v than u itself. The exhaustive pair
-scan is the reference semantics; check_by_routing is an independent
-oracle exploiting the equivalence with greedy forwarding succeeding
-between all ordered pairs. It tabulates every node's next hop toward
-every target, finds where all n(n-1) routes end by pointer doubling on
-that table, and replays greedy_route once per stuck (node, target) pair.
+scan is the reference semantics. It works on blocks of source rows: per
+block it folds in the distance-matrix rows of each source's neighbors,
+one neighbor slot at a time, keeping every target's minimum, so has_void
+stops after the first block that holds a witness. check_by_routing is an
+independent oracle exploiting the equivalence with greedy forwarding
+succeeding between all ordered pairs. It tabulates every node's next hop
+toward every target, finds where all n(n-1) routes end by pointer
+doubling on that table, and replays greedy_route once per stuck
+(node, target) pair.
+
+The cone-relay checks also run over blocks of source rows, with the
+construction kernel's cone formula, so no step makes a per-pair Python
+call.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .geometry import angle_at, bisector_projection, cone_of
-from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness, distance
-from .construct import build_directed_theta, build_directed_yao
+# cone_of is not called here; the benchmark harness counts calls to it
+# through this module's namespace, so the name stays importable
+from .geometry import angle_at, cone_of  # noqa: F401
+from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness
+from .construct import (
+    _BLOCK_PAIRS, _bisectors, _cones, build_directed_theta, build_directed_yao,
+)
 from .routing import greedy_route
 
 # Tolerance for the angle bound in the cone-relay checks only; the
 # void-free verdict itself compares distances exactly.
 ANGLE_TOL = 1e-9
+
+# Distance-matrix entries per pair-scan block: each neighbor slot of a
+# block of source rows gathers rows * n of them. The slots are folded in
+# one at a time, not gathered as one (slots, rows, n) array, which is up
+# to maxdeg times larger and raised the sweep benchmark's peak RSS by
+# about 0.5 MiB. On a 2-core x86-64 VM 1,000-node scans ran fastest near
+# 2**15 entries (256 KiB per gather).
+_SCAN_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -45,29 +66,51 @@ def check_void_free(g: GeometricGraph) -> VoidReport:
 def has_void(g: GeometricGraph) -> bool:
     """Short-circuit variant of check_void_free: True at the first void.
 
-    Runs the same scan and stops at its first witness; used in bulk by
-    the counterexample search.
+    Runs the same scan and stops after the first block of source rows
+    that holds a witness; used in bulk by the counterexample search.
     """
     return next(_void_witnesses(g), None) is not None
 
 
 def _void_witnesses(g: GeometricGraph):
-    """The pair scan: yields every witness in (u, v) order."""
+    """The pair scan: yields every witness in (u, v) order, computing one
+    block of source rows at a time."""
     if g.directed:
         raise ValueError("void-freeness is defined on the undirected graph")
     n = len(g.nodes)
     if n < 2:
         return
     dist = g.dist_matrix
-    for u, nbrs in enumerate(g.adjacency):
-        if nbrs:
-            best = dist[list(nbrs)].min(axis=0)
-        else:
-            best = np.full(n, math.inf)
-        mask = best >= dist[u]
-        mask[u] = False
-        for v in np.nonzero(mask)[0]:
-            yield VoidWitness(u, int(v), float(dist[u, v]), float(best[v]))
+    adjacency = g.adjacency
+    deg = np.fromiter(map(len, adjacency), np.intp, n)
+    width = max(1, int(deg.max()))
+    # nb[u] is u's neighbor list padded to the largest degree with its own
+    # first neighbor, which cannot change a minimum; isolated nodes point at
+    # node 0 and get +inf below
+    nb = np.fromiter(
+        chain.from_iterable(a + a[:1] * (width - len(a)) if a else (0,) * width
+                            for a in adjacency),
+        np.intp, n * width,
+    ).reshape(n, width)
+    rows = max(1, _SCAN_BLOCK // n)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        # best[u, v] is the distance to v of u's neighbor nearest to v; slots
+        # past the block's largest degree hold padding only
+        best = dist.take(nb[r0:r1, 0], axis=0)
+        gathered = np.empty_like(best)
+        for j in range(1, deg[r0:r1].max()):
+            np.minimum(best, dist.take(nb[r0:r1, j], axis=0, out=gathered), out=best)
+        best[deg[r0:r1] == 0] = np.inf
+        d = dist[r0:r1]
+        mask = best >= d
+        mask.reshape(-1)[r0::n + 1] = False  # u == v
+        if not mask.any():
+            continue
+        us, vs = mask.nonzero()
+        for u, v, d_uv, b in zip((us + r0).tolist(), vs.tolist(),
+                                 d[mask].tolist(), best[mask].tolist()):
+            yield VoidWitness(u, v, d_uv, b)
 
 
 def check_by_routing(g: GeometricGraph) -> VoidReport:
@@ -109,11 +152,12 @@ def check_by_routing(g: GeometricGraph) -> VoidReport:
     stuck[end, targets] = True
     stuck[targets, targets] = False
     witnesses = []
-    for u, v in zip(*(a.tolist() for a in np.nonzero(stuck))):
+    us, vs = np.nonzero(stuck)
+    for u, v, d_uv in zip(us.tolist(), vs.tolist(), dist[us, vs].tolist()):
         result = greedy_route(g, u, v)
         if result.path != (u,):  # a one-node path toward v != u is stuck at u
             raise RuntimeError(f"greedy route {u} -> {v} is not stuck at its source")
-        witnesses.append(VoidWitness(u, v, g.dist(u, v), result.best_neighbor_distance))
+        witnesses.append(VoidWitness(u, v, d_uv, result.best_neighbor_distance))
     return VoidReport(void_free=not witnesses, witnesses=tuple(witnesses))
 
 
@@ -163,34 +207,68 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
     if k < 6:
         raise ValueError("cone angle exceeds pi/3 below k = 6")
     build_directed = build_directed_yao if family == YAO else build_directed_theta
-    g = build_directed(nodes, k)
-    violations = []
-    limit = math.pi / 3 + ANGLE_TOL
+    edges = np.array(build_directed(nodes, k).edges, dtype=np.intp).reshape(-1, 2)
     pts = nodes.points
-    picks = {(u, cone_of(pts[u], pts[w], k)): w for u, w in g.edges}
-    for u in range(len(pts)):
-        pu = pts[u]
-        for v in range(len(pts)):
-            if v == u:
-                continue
-            i = cone_of(pu, pts[v], k)
-            w = picks[(u, i)]
-            if w == v:
-                continue
-            # selection: Yao's angle bound, or Theta's projection minimality
-            if family == YAO:
-                ang = angle_at(pu, pts[w], pts[v])
-                if ang >= limit:
+    n = len(pts)
+    x = np.array([p.x for p in pts])
+    y = np.array([p.y for p in pts])
+    limit = math.pi / 3 + ANGLE_TOL
+    rows = max(1, _BLOCK_PAIRS // n)
+    violations = []
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        b = r1 - r0
+        # dx, dy are v - u for source rows u and target columns v
+        dx = x - x[r0:r1, None]
+        dy = y - y[r0:r1, None]
+        cone = _cones(dx, dy, k)[1]
+        # ranking the cone values makes (row, cone) a dense slot whatever k is
+        vals, rank = np.unique(cone, return_inverse=True)
+        rank = rank.reshape(b, n)
+        slots = b * len(vals)
+        slot = rank + np.arange(0, slots, len(vals))[:, None]
+        # each pair's pick w is u's edge in v's cone; edges are sorted by source
+        e0, e1 = np.searchsorted(edges[:, 0], (r0, r1))
+        eu, ew = edges[e0:e1].T
+        pick = np.full(slots, -1, dtype=np.intp)
+        pick[slot[eu - r0, ew]] = ew
+        w = pick[slot]
+        tested = w != np.arange(n)
+        tested.reshape(-1)[r0::n + 1] = False  # u == v
+        if (w[tested] < 0).any():
+            raise RuntimeError("a non-empty cone has no selected neighbor")
+        w[~tested] = 0  # any real node; untested pairs are masked out below
+        src = np.arange(b)[:, None]
+        # selection: Yao's angle bound, or Theta's projection minimality
+        if family == YAO:
+            ax = dx[src, w]
+            ay = dy[src, w]
+            # angle_at's formula, with w - u as the first ray and v - u the second
+            selected = np.arctan2(np.abs(ax * dy - ay * dx), ax * dx + ay * dy) >= limit
+        else:
+            # w shares v's cone, so one bisector per pair serves both projections
+            bx, by = _bisectors(vals, k)
+            proj = dx * bx[rank] + dy * by[rank]
+            selected = ~(proj[src, w] <= proj)
+        wx = x - x[w]
+        wy = y - y[w]
+        farther = ~(np.sqrt(wx * wx + wy * wy) < np.sqrt(dx * dx + dy * dy))
+        selected &= tested
+        farther &= tested
+        flagged = (selected | farther).nonzero()
+        for r, v in zip(*(a.tolist() for a in flagged)):
+            u, wv, i = r0 + r, int(w[r, v]), int(cone[r, v])
+            if selected[r, v]:
+                if family == YAO:
+                    ang = angle_at(pts[u], pts[wv], pts[v])
                     violations.append(
-                        f"angle({w},{u},{v}) = {ang} >= pi/3 for cone {i} of node {u}"
+                        f"angle({wv},{u},{v}) = {ang} >= pi/3 for cone {i} of node {u}"
                     )
-            elif not bisector_projection(pu, pts[w], i, k) <= bisector_projection(pu, pts[v], i, k):
-                violations.append(
-                    f"selected neighbor {w} of node {u} does not minimize the "
-                    f"projection in cone {i}"
-                )
-            if not distance(pts[w], pts[v]) < distance(pu, pts[v]):
-                violations.append(
-                    f"selected neighbor {w} of node {u} is not closer to {v}"
-                )
+                else:
+                    violations.append(
+                        f"selected neighbor {wv} of node {u} does not minimize the "
+                        f"projection in cone {i}"
+                    )
+            if farther[r, v]:
+                violations.append(f"selected neighbor {wv} of node {u} is not closer to {v}")
     return violations

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +157,24 @@ def test_dist_rejects_bad_indices(u, v):
     g = GeometricGraph("yao", 2, False, nset((0, 0), (1, 0)), ((0, 1),))
     with pytest.raises(ValueError, match="unknown node index"):
         g.dist(u, v)
+
+
+def test_numpy_integer_indices_are_plain_ints():
+    # np.nonzero hands out numpy integers; they name nodes like ints do
+    g = GeometricGraph("yao", 2, False, nset((0, 0), (1, 0), (3, 0)), ((0, 1), (1, 2)))
+    assert g.neighbors(np.int64(1)) == (0, 2)
+    assert g.neighbors(np.intp(0)) == (1,)
+    assert g.dist(np.int64(0), np.int32(2)) == 3.0
+    assert type(g._check_node(np.uint8(2))) is int
+
+
+@pytest.mark.parametrize("u", [np.True_, np.float64(1.0), 1.0, "1", None, np.int64(3), np.int64(-1)])
+def test_node_index_rejects_non_integers_and_out_of_range(u):
+    g = GeometricGraph("yao", 2, False, nset((0, 0), (1, 0), (3, 0)), ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="unknown node index"):
+        g.neighbors(u)
+    with pytest.raises(ValueError, match="unknown node index"):
+        g.dist(0, u)
 
 
 def test_neighbors_symmetric_on_random_graph():

@@ -2,6 +2,7 @@
 
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from conegraph.construct import build
@@ -71,6 +72,13 @@ def test_render_rejects_unknown_highlight_node():
     g = build(random_nodeset(4, seed=9), "yao", 4)
     with pytest.raises(ValueError, match="unknown node"):
         render_svg(g, highlight_pair=(0, 17))
+
+
+def test_render_highlight_accepts_numpy_indices():
+    # witness indices come out of numpy; the figure is the same
+    g = build(random_nodeset(6, seed=12), "yao", 4)
+    assert render_svg(g, highlight_pair=(np.int64(0), np.intp(3))) == render_svg(
+        g, highlight_pair=(0, 3))
 
 
 def test_render_directed_uses_markers():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from conegraph.construct import build, build_directed_yao
@@ -49,6 +50,21 @@ def test_route_rejects_directed_graph(s, t):
     # raised before the first hop, not by the adjacency lookup
     with pytest.raises(ValueError, match="greedy forwarding is defined on the undirected graph"):
         greedy_route(g, s, t)
+
+
+def test_route_and_step_accept_numpy_indices():
+    # witness pairs come out of np.nonzero as numpy integers
+    g = chain3()
+    r = greedy_route(g, np.int64(0), np.int64(2))
+    assert r.delivered and r.path == (0, 1, 2)
+    assert all(type(u) is int for u in r.path)
+    assert greedy_route(g, np.int64(1), np.int64(1)).path == (1,)
+    assert type(greedy_route(g, np.int64(1), np.int64(1)).path[0]) is int
+    assert greedy_step(g, np.int32(0), np.int64(2)) == 1
+    with pytest.raises(ValueError, match="already delivered"):
+        greedy_step(g, np.int64(2), 2)
+    with pytest.raises(ValueError, match="unknown node index"):
+        greedy_route(g, np.True_, 2)
 
 
 def test_isolated_node_yields_void_signal():

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from conegraph import voidcheck
 from conegraph.construct import build, build_directed_yao
 from conegraph.corpus import load_corpus, random_nodeset
-from conegraph.geometry import TAU, Point
+from conegraph.geometry import TAU, Point, angle_at, bisector_projection, cone_of
 from conegraph.model import GeometricGraph, NodeSet, VoidWitness, distance
 from conegraph.routing import greedy_route
 from conegraph.voidcheck import (
@@ -87,20 +88,24 @@ def test_witnesses_sorted_and_sound():
             assert best >= duv
 
 
-def reference_void_pairs(g):
+def reference_void_witnesses(g):
     """Pure-Python pair scan on scalar distances, the reference for the
     numpy kernel behind check_void_free and has_void."""
     pts = g.nodes.points
-    return [
-        (u, v)
-        for u in range(len(pts))
-        for v in range(len(pts))
-        if u != v
-        and not any(distance(pts[w], pts[v]) < distance(pts[u], pts[v]) for w in g.neighbors(u))
-    ]
+    d = [[distance(p, q) for q in pts] for p in pts]
+    witnesses = []
+    for u in range(len(pts)):
+        nbrs = g.neighbors(u)
+        for v in range(len(pts)):
+            if u == v:
+                continue
+            best = min((d[w][v] for w in nbrs), default=math.inf)
+            if not best < d[u][v]:
+                witnesses.append(VoidWitness(u, v, d[u][v], best))
+    return witnesses
 
 
-def test_has_void_agrees_with_full_scan():
+def test_has_void_agrees_with_full_scan(monkeypatch):
     graphs = []
     for seed in range(40):
         k = 1 + seed % 8
@@ -113,10 +118,28 @@ def test_has_void_agrees_with_full_scan():
         graphs.extend(build(collinear, family, k) for k in (1, 2, 3, 6))
         graphs.extend(build(random_nodeset(n, seed=n), family, k)
                       for n in (1, 2) for k in (1, 6))
-    for g in graphs:
-        pairs = [(w.u, w.v) for w in check_void_free(g).witnesses]
-        assert pairs == reference_void_pairs(g)
-        assert has_void(g) == bool(pairs)
+    ns = random_nodeset(12, seed=21)
+    # a star: the center's degree is 11 and every leaf's is 1, so most of
+    # the neighbor table is padding
+    graphs.append(GeometricGraph("yao", 12, False, ns, tuple((0, j) for j in range(1, 12))))
+    # a path with isolated nodes, first, last and in between
+    graphs.append(GeometricGraph("yao", 2, False, ns, ((1, 2), (2, 3), (3, 5), (5, 9))))
+    graphs.append(GeometricGraph("yao", 2, False, ns, ()))
+    two = NodeSet([("a", Point(0, 0)), ("b", Point(1, 1))])
+    graphs.append(GeometricGraph("yao", 2, False, two, ()))
+    graphs.append(GeometricGraph("yao", 2, False, two, ((0, 1),)))
+    # at the default block size this one spans two blocks, the last partial
+    rows = voidcheck._SCAN_BLOCK // 200
+    assert 100 <= rows < 200
+    graphs.append(build(random_nodeset(200, seed=3), "yao", 3))
+    expected = [reference_void_witnesses(g) for g in graphs]
+    assert any(expected) and not all(expected)
+    # the default, one row per block, and blocks of a few rows
+    for block in (voidcheck._SCAN_BLOCK, 1, 500):
+        monkeypatch.setattr(voidcheck, "_SCAN_BLOCK", block)
+        for g, witnesses in zip(graphs, expected):
+            assert list(check_void_free(g).witnesses) == witnesses
+            assert has_void(g) == bool(witnesses)
 
 
 def test_routing_oracle_agrees_on_random_graphs():
@@ -278,6 +301,141 @@ def test_relay_checks_clean_on_random_sets():
             ns = random_nodeset(40, seed=seed)
             assert check_yao_cone_relay(ns, k) == []
             assert check_theta_cone_relay(ns, k) == []
+
+
+def reference_relay_violations(nodes, k, family):
+    """The per-pair scalar relay loop: the reference for the array pass
+    behind check_yao_cone_relay and check_theta_cone_relay. Like them, it
+    looks the builder and ANGLE_TOL up in voidcheck at call time."""
+    if family == "yao":
+        g = voidcheck.build_directed_yao(nodes, k)
+    else:
+        g = voidcheck.build_directed_theta(nodes, k)
+    violations = []
+    limit = math.pi / 3 + voidcheck.ANGLE_TOL
+    pts = nodes.points
+    picks = {(u, cone_of(pts[u], pts[w], k)): w for u, w in g.edges}
+    for u in range(len(pts)):
+        pu = pts[u]
+        for v in range(len(pts)):
+            if v == u:
+                continue
+            i = cone_of(pu, pts[v], k)
+            w = picks[(u, i)]
+            if w == v:
+                continue
+            if family == "yao":
+                ang = angle_at(pu, pts[w], pts[v])
+                if ang >= limit:
+                    violations.append(
+                        f"angle({w},{u},{v}) = {ang} >= pi/3 for cone {i} of node {u}"
+                    )
+            elif not bisector_projection(pu, pts[w], i, k) <= bisector_projection(pu, pts[v], i, k):
+                violations.append(
+                    f"selected neighbor {w} of node {u} does not minimize the "
+                    f"projection in cone {i}"
+                )
+            if not distance(pts[w], pts[v]) < distance(pu, pts[v]):
+                violations.append(
+                    f"selected neighbor {w} of node {u} is not closer to {v}"
+                )
+    return violations
+
+
+def relay(nodes, k, family):
+    check = check_yao_cone_relay if family == "yao" else check_theta_cone_relay
+    return check(nodes, k)
+
+
+def farthest_in_cone(family):
+    """A directed builder that selects each non-empty cone's node with the
+    largest key (distance for Yao, bisector projection for Theta), ties to
+    the largest index: the wrong pick, so that the relay checks report."""
+
+    def builder(nodes, k):
+        pts = nodes.points
+        picks = {}
+        for u, pu in enumerate(pts):
+            for v, pv in enumerate(pts):
+                if v != u:
+                    i = cone_of(pu, pv, k)
+                    key = distance(pu, pv) if family == "yao" else bisector_projection(pu, pv, i, k)
+                    if (u, i) not in picks or key >= picks[(u, i)][0]:
+                        picks[(u, i)] = (key, v)
+        edges = tuple(sorted((u, v) for (u, _), (_, v) in picks.items()))
+        return GeometricGraph(family, k, True, nodes, edges)
+
+    return builder
+
+
+def relay_fixtures():
+    yield NodeSet([("u", Point(0, 0)), ("w", Point(0.3, 0.8))])
+    yield NodeSet([("u", Point(0, 0)), ("w", Point(0.5, 0.5)), ("v", Point(2, 2))])
+    w = Point(0.5 * math.sin(TAU / 6), 0.5 * math.cos(TAU / 6))
+    yield NodeSet([("u", Point(0, 0)), ("w", w), ("v", Point(math.sin(1e-6), math.cos(1e-6)))])
+    for deg in (10, 50):
+        yield NodeSet([
+            ("u", Point(0, 0)),
+            ("w", Point(0.6 * math.sin(math.radians(deg)), 0.6 * math.cos(math.radians(deg)))),
+            ("v", Point(math.sin(math.radians(5)), math.cos(math.radians(5)))),
+        ])
+    # a and b tie on the projection onto cone 2's bisector (east at k = 6):
+    # a is picked, and b's projection equals a's, which passes
+    yield NodeSet([("u", Point(0, 0)), ("a", Point(1, 0.1)), ("b", Point(1, -0.1))])
+    yield NodeSet([("solo", Point(1, 2))])
+    yield NodeSet((f"g{x}_{y}", Point(x, y)) for x in range(8) for y in range(8))
+    yield NodeSet((f"c{i}", Point(i, 2 * i)) for i in range(9))
+
+
+def test_relay_matches_reference():
+    for nodes in relay_fixtures():
+        for family in ("yao", "theta"):
+            for k in (6, 7, 12, 10**9, 10**18):
+                assert relay(nodes, k, family) == reference_relay_violations(nodes, k, family)
+    for seed in range(1000):
+        nodes = random_nodeset(1 + seed % 60, seed=4000 + seed)
+        family = ("yao", "theta")[seed % 2]
+        k = 6 + (seed // 2) % 11
+        assert relay(nodes, k, family) == reference_relay_violations(nodes, k, family)
+
+
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_relay_reports_what_the_reference_reports(monkeypatch, family):
+    monkeypatch.setattr(voidcheck, f"build_directed_{family}", farthest_in_cone(family))
+    sets = [(random_nodeset(3 + seed % 38, seed=5000 + seed), 6 + seed % 11) for seed in range(40)]
+    sets += list(zip(relay_fixtures(), (6, 7, 8, 9, 10, 11, 6, 12, 6)))
+    reported = []
+    for nodes, k in sets:
+        expected = reference_relay_violations(nodes, k, family)
+        assert relay(nodes, k, family) == expected
+        reported += expected
+    assert any("is not closer to" in m for m in reported)
+    if family == "theta":
+        assert any("does not minimize the projection" in m for m in reported)
+    # the Yao angle bound cannot fail with true cones; a negative tolerance
+    # flags angles below pi/3, and the messages must still match
+    monkeypatch.setattr(voidcheck, "ANGLE_TOL", -0.5)
+    reported = []
+    for nodes, k in sets[:10]:
+        expected = reference_relay_violations(nodes, k, family)
+        assert relay(nodes, k, family) == expected
+        reported += expected
+    if family == "yao":
+        assert any(m.startswith("angle(") for m in reported)
+    # blocks of one row, and of two rows with the last one partial
+    for block in (1, 2 * 41):
+        monkeypatch.setattr(voidcheck, "_BLOCK_PAIRS", block)
+        nodes = random_nodeset(41, seed=6)
+        expected = reference_relay_violations(nodes, 9, family)
+        assert expected and relay(nodes, 9, family) == expected
+
+
+def test_relay_rejects_a_builder_that_skips_a_cone(monkeypatch):
+    nodes = random_nodeset(5, seed=7)
+    empty = lambda nodes, k: GeometricGraph("yao", k, True, nodes, ())  # noqa: E731
+    monkeypatch.setattr(voidcheck, "build_directed_yao", empty)
+    with pytest.raises(RuntimeError, match="no selected neighbor"):
+        check_yao_cone_relay(nodes, 6)
 
 
 def test_void_free_for_k6_and_up_small_scale():
