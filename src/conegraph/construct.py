@@ -11,15 +11,20 @@ about _BLOCK_PAIRS = 2**14 ordered pairs. It sorts each row by angle, so
 that every cone is one contiguous run, and takes each run's minimum. A
 block's transient arrays stay near 1.5 MiB whatever n and k are. Per pair
 the kernel takes the same double-precision steps as geometry.cone_of,
-geometry.bisector_projection and model.distance. The per-pair scalar
-cone scan is kept as _build_directed_reference: tests compare the kernel
-against it, and nothing in the package calls it.
+geometry.bisector_projection and model.distance; the tests compare it
+edge for edge with a per-pair scalar cone scan.
+
+A directed graph holds its edges as the sorted flat keys u*n + v that
+the kernel picks, and undirect merges them with their reverses, so no
+step builds an edge tuple.
 """
 
 import numpy as np
 
-from .geometry import TAU, _bisector, _check_k, bisector_projection, cone_of
-from .model import THETA, YAO, GeometricGraph, NodeSet, distance
+# cone_of is not called here; the benchmark harness counts calls to it
+# through this module's namespace, so the name stays importable
+from .geometry import TAU, _bisector, _check_k, cone_of  # noqa: F401
+from .model import THETA, YAO, GeometricGraph, NodeSet
 
 # For k < 3 a cone spans a half-plane or the whole plane, so projections
 # onto the bisector stop being positive for all in-cone points and the
@@ -55,15 +60,14 @@ def undirect(g: GeometricGraph) -> GeometricGraph:
     """Forget edge directions, collapsing mutual pairs to one edge."""
     if not g.directed:
         raise ValueError("graph is already undirected")
-    edges = sorted({(a, b) if a < b else (b, a) for a, b in g.edges})
-    return GeometricGraph(
-        family=g.family,
-        k=g.k,
-        directed=False,
-        nodes=g.nodes,
-        edges=tuple(edges),
-        warning=g.warning,
-    )
+    # both directions of every edge, sorted, each key once: the CSR adjacency
+    u, v = np.divmod(g.keys, len(g.nodes))
+    keys = np.concatenate((g.keys, v * len(g.nodes) + u))
+    keys.sort()
+    keep = np.empty(keys.size, bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return GeometricGraph._from_keys(g.family, g.k, False, g.nodes, keys[keep], g.warning)
 
 
 def build(nodes: NodeSet, family: str, k: int, directed: bool = False) -> GeometricGraph:
@@ -79,10 +83,8 @@ def build(nodes: NodeSet, family: str, k: int, directed: bool = False) -> Geomet
 
 def _build_directed(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
     theta = family == THETA
-    pts = nodes.points
-    n = len(pts)
-    x = np.array([p.x for p in pts])
-    y = np.array([p.y for p in pts])
+    n = len(nodes)
+    x, y = nodes.coordinates()
     rows = max(1, _BLOCK_PAIRS // n)
     picks = []
     for r0 in range(0, n, rows):
@@ -115,8 +117,9 @@ def _build_directed(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
         hit = key == np.minimum.reduceat(key, heads)[run]
         # the smallest flat index among a run's minima is its smallest column
         picks.append(np.minimum.reduceat(np.where(hit, at, angle.size), heads) + r0 * n)
-    u, v = np.divmod(np.sort(np.concatenate(picks)), n)
-    return _directed_graph(nodes, k, family, tuple(zip(u.tolist(), v.tolist())))
+    warning = _THETA_WIDE_CONE_WARNING if theta and k < 3 else None
+    return GeometricGraph._from_keys(family, k, True, nodes, np.sort(np.concatenate(picks)),
+                                     warning)
 
 
 def _cones(dx, dy, k: int):
@@ -139,35 +142,3 @@ def _bisectors(cone, k: int):
     bx, by = np.array([_bisector(i, k) for i in vals.tolist()]).reshape(-1, 2).T
     return bx[at], by[at]
 
-
-def _build_directed_reference(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
-    """The per-pair scalar cone scan: the test oracle for _build_directed."""
-    pts = nodes.points
-    n = len(pts)
-    edges = []
-    theta = family == THETA
-    for u in range(n):
-        pu = pts[u]
-        best: dict[int, tuple[float, int]] = {}
-        for v in range(n):
-            if v == u:
-                continue
-            pv = pts[v]
-            i = cone_of(pu, pv, k)
-            if theta:
-                key = abs(bisector_projection(pu, pv, i, k))
-            else:
-                key = distance(pu, pv)
-            cur = best.get(i)
-            # strict < keeps the smallest node index on ties (v ascends)
-            if cur is None or key < cur[0]:
-                best[i] = (key, v)
-        edges.extend((u, v) for _, v in best.values())
-    return _directed_graph(nodes, k, family, tuple(sorted(edges)))
-
-
-def _directed_graph(nodes: NodeSet, k: int, family: str, edges) -> GeometricGraph:
-    warning = _THETA_WIDE_CONE_WARNING if family == THETA and k < 3 else None
-    return GeometricGraph(
-        family=family, k=k, directed=True, nodes=nodes, edges=edges, warning=warning
-    )

@@ -6,12 +6,13 @@ import io
 import json
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import Point
+from .geometry import Point, _check_k
 
 YAO = "yao"
 THETA = "theta"
@@ -59,6 +60,11 @@ class NodeSet:
     def points(self) -> tuple[Point, ...]:
         return tuple(p for _, p in self.nodes)
 
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and the y coordinates, as two new float arrays. Not cached:
+        a node set that outlives its graphs stays small."""
+        return np.array([p.x for p in self.points]), np.array([p.y for p in self.points])
+
     @cached_property
     def _index(self) -> dict[str, int]:
         return {i: n for n, (i, _) in enumerate(self.nodes)}
@@ -73,47 +79,78 @@ class NodeSet:
         return self.points[self.index_of(node_id)]
 
 
-@dataclass(frozen=True)
 class GeometricGraph:
     """A node set plus an edge set over node indices.
 
     Directed edges are (source, target) pairs, at most one per source
-    cone, so out-degrees never exceed k. Undirected edges are stored
-    once as (i, j) with i < j. Instances are immutable; derived views
-    (adjacency, distances) are cached.
+    cone, so out-degrees never exceed k; undirected ones are listed once
+    as (i, j) with i < j. The constructor takes them sorted and checks
+    them in one vectorised pass (see _check_edges). They are stored as
+    `keys`, one sorted intp array of flat keys u*n + v: one per directed
+    edge, or both directions of every undirected edge, which makes the
+    keys the graph's CSR adjacency (`csr`). The tuple views `edges`,
+    `edge_set` and `adjacency` are built on first use only. Instances
+    are immutable; derived views are cached.
     """
 
-    family: str
-    k: int
-    directed: bool
-    nodes: NodeSet
-    edges: tuple[tuple[int, int], ...]
-    warning: str | None = None
+    def __init__(self, family, k, directed, nodes, edges, warning=None):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        _check_k(k)
+        n = len(nodes)
+        pairs = _edge_pairs(edges, n)
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        _check_edges(keys, n, k, directed, edges, pairs)
+        if not directed:
+            keys = np.sort(np.concatenate((keys, pairs[:, 1] * n + pairs[:, 0])))
+        keys.flags.writeable = False
+        self.__dict__.update(family=family, k=k, directed=directed, nodes=nodes,
+                             keys=keys, warning=warning)
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"cone count must be an integer >= 1, got {self.k!r}")
+    @classmethod
+    def _from_keys(cls, family, k, directed, nodes, keys, warning=None):
+        """The builders' constructor, over sorted flat keys. Directed keys
+        get the constructor's check; undirected ones are trusted, because
+        undirect derives them from a checked directed graph."""
+        if directed:
+            _check_edges(keys, len(nodes), k, True)
+        keys.flags.writeable = False
+        g = cls.__new__(cls)
+        g.__dict__.update(family=family, k=k, directed=directed, nodes=nodes,
+                          keys=keys, warning=warning)
+        return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self):
+        return self.family, self.k, self.directed, self.nodes, self.keys.tobytes(), self.warning
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"GeometricGraph(family={self.family!r}, k={self.k!r}, "
+                f"directed={self.directed!r}, nodes={self.nodes!r}, "
+                f"edges={self.edges!r}, warning={self.warning!r})")
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): u's out-neighbors, which are its neighbors
+        when undirected, are indices[indptr[u]:indptr[u + 1]], ascending."""
         n = len(self.nodes)
-        prev = (-1, -1)
-        out_deg = 0  # edges so far from prev's source; sorted edges group by source
-        for e in self.edges:
-            a, b = e
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge {e} references a missing node")
-            if a == b:
-                raise ValueError(f"self-loop at node {a}")
-            # strictly increasing edges are sorted and hold no edge twice
-            if e <= prev:
-                raise ValueError(f"duplicate edge {e}" if e == prev else "edges must be sorted")
-            if self.directed:
-                out_deg = out_deg + 1 if a == prev[0] else 1
-                if out_deg > self.k:
-                    raise ValueError(f"out-degree exceeds k={self.k}")
-            elif a > b:
-                raise ValueError(f"undirected edge {e} not normalized as (i, j) with i < j")
-            prev = e
+        return self.keys.searchsorted(np.arange(0, n * n + 1, n)), self.keys % n
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        n = len(self.nodes)
+        u, v = np.divmod(self.keys, n)
+        if not self.directed:
+            u, v = u[u < v], v[u < v]
+        return tuple(zip(u.tolist(), v.tolist()))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -130,13 +167,9 @@ class GeometricGraph:
         """Per-node sorted neighbor indices (undirected graphs only)."""
         if self.directed:
             raise ValueError("adjacency is defined on the undirected graph")
-        nbrs: list[list[int]] = [[] for _ in range(len(self.nodes))]
-        # edges (a, b) are sorted with a < b, so each list gets its smaller
-        # neighbors in order, then its larger ones in order: already sorted
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return tuple(map(tuple, nbrs))
+        indptr, indices = self.csr
+        nbrs = indices.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(indptr.tolist(), indptr[1:].tolist()))
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Nodes sharing an edge with u, ascending by index.
@@ -149,8 +182,7 @@ class GeometricGraph:
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:
-        xs = np.array([p.x for p in self.nodes.points])
-        ys = np.array([p.y for p in self.nodes.points])
+        xs, ys = self.nodes.coordinates()
         dx = xs[:, None] - xs[None, :]
         dy = ys[:, None] - ys[None, :]
         return np.sqrt(dx * dx + dy * dy)
@@ -173,6 +205,73 @@ class GeometricGraph:
         if i is None or isinstance(u, bool) or not 0 <= i < len(self.nodes):
             raise ValueError(f"unknown node index {u!r}")
         return i
+
+
+def _edge_pairs(edges, n: int) -> np.ndarray:
+    """User-supplied edges as an (m, 2) intp array. Python ints beyond
+    intp make numpy pick a float or object array; on that path each
+    endpoint must be an integer, and one outside 0..n-1 becomes -1, so
+    that it still reads as a missing node."""
+    pairs = np.array(edges) if len(edges) else np.empty((0, 2), np.intp)
+    if pairs.dtype.kind not in "iu":
+        try:
+            pairs = np.array([[i if 0 <= i < n else -1 for i in map(operator.index, e)]
+                              for e in edges], np.intp)
+        except TypeError as exc:
+            raise ValueError(f"edge endpoints must be integers: {exc}") from None
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (source, target) pairs")
+    return pairs.astype(np.intp, copy=False)
+
+
+def _edges_valid(keys, n: int, k: int, directed: bool, pairs) -> bool:
+    """_check_edges' rules over whole arrays, in a few counts."""
+    m = keys.size
+    if m == 0:
+        return True
+    if pairs is None:
+        in_range = 0 <= keys[0] and keys[-1] < n * n  # given the order count below
+    else:
+        in_range = np.count_nonzero(pairs.view(np.uintp) < n) == 2 * m
+    if directed:
+        rows = keys // n
+        # sorted rows: u has more than k edges iff some row repeats k apart
+        bounded = k >= m or np.count_nonzero(rows[k:] > rows[:-k]) == m - k
+    else:
+        bounded = np.count_nonzero(pairs[:, 0] < pairs[:, 1]) == m
+    return bool(in_range and bounded and np.count_nonzero(keys[1:] > keys[:-1]) == m - 1
+                and np.count_nonzero(keys % (n + 1)) == m)
+
+
+def _check_edges(keys, n: int, k: int, directed: bool, edges=None, pairs=None) -> None:
+    """Raise the message of the first faulty edge, if any.
+
+    keys are the flat keys in the given order; edges and pairs are the
+    user's edges and their endpoint array, or None for a builder's keys.
+    Each edge is tested for, in order: an endpoint out of range, a
+    self-loop, not following its predecessor in strictly increasing
+    order, and an out-degree above k (directed) or i > j (undirected).
+    """
+    if _edges_valid(keys, n, k, directed, pairs):
+        return
+    # every prefix of a valid edge list is valid: bisect for the shortest faulty one
+    i = bisect_left(range(1, keys.size + 1), True, key=lambda j: not _edges_valid(
+        keys[:j], n, k, directed, None if pairs is None else pairs[:j]))
+    if edges is None:
+        edges = [divmod(int(key), n) for key in keys[max(i - 1, 0):i + 1]]
+        i = min(i, 1)
+    e = edges[i]
+    a, b = e
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"edge {e} references a missing node")
+    if a == b:
+        raise ValueError(f"self-loop at node {a}")
+    if i and tuple(e) <= tuple(edges[i - 1]):
+        raise ValueError(f"duplicate edge {e}" if tuple(e) == tuple(edges[i - 1])
+                         else "edges must be sorted")
+    if directed:
+        raise ValueError(f"out-degree exceeds k={k}")
+    raise ValueError(f"undirected edge {e} not normalized as (i, j) with i < j")
 
 
 @dataclass(frozen=True)

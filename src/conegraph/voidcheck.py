@@ -5,13 +5,13 @@ A graph is void-free when every node u has, for every other node v,
 some neighbor strictly closer to v than u itself. The exhaustive pair
 scan is the reference semantics. It works on blocks of source rows: per
 block it folds in the distance-matrix rows of each source's neighbors,
-one neighbor slot at a time, keeping every target's minimum, so has_void
-stops after the first block that holds a witness. check_by_routing is an
-independent oracle exploiting the equivalence with greedy forwarding
-succeeding between all ordered pairs. It tabulates every node's next hop
-toward every target, finds where all n(n-1) routes end by pointer
-doubling on that table, and replays greedy_route once per stuck
-(node, target) pair.
+a few neighbor slots at a time, keeping every target's minimum, so
+has_void stops after the first block that holds a witness.
+check_by_routing is an independent oracle exploiting the equivalence
+with greedy forwarding succeeding between all ordered pairs. It
+tabulates every node's next hop toward every target, finds where all
+n(n-1) routes end by pointer doubling on that table, and replays
+greedy_route once per stuck (node, target) pair.
 
 The cone-relay checks also run over blocks of source rows, with the
 construction kernel's cone formula, so no step makes a per-pair Python
@@ -20,29 +20,24 @@ call.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
-from .geometry import angle_at, cone_of  # noqa: F401
+from .geometry import cone_of  # noqa: F401
 from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness
 from .construct import (
     _BLOCK_PAIRS, _bisectors, _cones, build_directed_theta, build_directed_yao,
 )
 from .routing import greedy_route
 
-# Tolerance for the angle bound in the cone-relay checks only; the
-# void-free verdict itself compares distances exactly.
-ANGLE_TOL = 1e-9
-
-# Distance-matrix entries per pair-scan block: each neighbor slot of a
-# block of source rows gathers rows * n of them. The slots are folded in
-# one at a time, not gathered as one (slots, rows, n) array, which is up
-# to maxdeg times larger and raised the sweep benchmark's peak RSS by
-# about 0.5 MiB. On a 2-core x86-64 VM 1,000-node scans ran fastest near
-# 2**15 entries (256 KiB per gather).
+# Distance-matrix entries per pair-scan gather. A block of
+# _SCAN_BLOCK // n source rows gathers the distance rows of as many of
+# their neighbor slots at a time as fit, one slot at a time at large n.
+# Gathering all slots at once is up to maxdeg times larger, and raised
+# the sweep benchmark's peak RSS by about 0.5 MiB. On a 2-core x86-64 VM
+# 1,000-node scans ran fastest near 2**15 entries (256 KiB per gather).
 _SCAN_BLOCK = 1 << 15
 
 
@@ -81,31 +76,29 @@ def _void_witnesses(g: GeometricGraph):
     if n < 2:
         return
     dist = g.dist_matrix
-    adjacency = g.adjacency
-    deg = np.fromiter(map(len, adjacency), np.intp, n)
+    indptr, indices = g.csr
+    deg = indptr[1:] - indptr[:-1]
     width = max(1, int(deg.max()))
     # nb[u] is u's neighbor list padded to the largest degree with its own
-    # first neighbor, which cannot change a minimum; isolated nodes point at
-    # node 0 and get +inf below
-    nb = np.fromiter(
-        chain.from_iterable(a + a[:1] * (width - len(a)) if a else (0,) * width
-                            for a in adjacency),
-        np.intp, n * width,
-    ).reshape(n, width)
+    # last neighbor, which cannot change a minimum; an isolated node gets
+    # an arbitrary one and +inf below
+    at = np.minimum(indptr[:-1, None] + np.arange(width), indptr[1:, None] - 1)
+    nb = indices.take(at, mode="clip") if indices.size else np.zeros((n, width), np.intp)
     rows = max(1, _SCAN_BLOCK // n)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        # best[u, v] is the distance to v of u's neighbor nearest to v; slots
-        # past the block's largest degree hold padding only
-        best = dist.take(nb[r0:r1, 0], axis=0)
-        gathered = np.empty_like(best)
-        for j in range(1, deg[r0:r1].max()):
-            np.minimum(best, dist.take(nb[r0:r1, j], axis=0, out=gathered), out=best)
+        # best[u, v] is the distance to v of u's neighbor nearest to v. The
+        # block gathers `step` neighbor slots at a time, at most _SCAN_BLOCK
+        # entries; slots past its largest degree hold padding only
+        step = max(1, _SCAN_BLOCK // ((r1 - r0) * n))
+        best = dist.take(nb[r0:r1, :step], axis=0).min(axis=1)
+        for j in range(step, deg[r0:r1].max() if step < width else 0, step):
+            np.minimum(best, dist.take(nb[r0:r1, j:j + step], axis=0).min(axis=1), out=best)
         best[deg[r0:r1] == 0] = np.inf
         d = dist[r0:r1]
         mask = best >= d
         mask.reshape(-1)[r0::n + 1] = False  # u == v
-        if not mask.any():
+        if not np.count_nonzero(mask):
             continue
         us, vs = mask.nonzero()
         for u, v, d_uv, b in zip((us + r0).tolist(), vs.tolist(),
@@ -132,10 +125,12 @@ def check_by_routing(g: GeometricGraph) -> VoidReport:
     dist = g.dist_matrix  # symmetric: dist[t, w] is w's distance to t
     targets = np.arange(n)
     hop = np.empty((n, n), dtype=np.intp)
-    for u, nbrs in enumerate(g.adjacency):
+    indptr, indices = g.csr
+    ptr = indptr.tolist()
+    for u in range(n):
         hop[u] = u
-        if nbrs:
-            nbrs = np.array(nbrs)
+        nbrs = indices[ptr[u]:ptr[u + 1]]
+        if nbrs.size:
             cols = dist[:, nbrs]
             first = cols.argmin(axis=1)  # sorted neighbors: ties go to the smallest index
             moves = cols[targets, first] < dist[:, u]
@@ -184,11 +179,11 @@ def check_yao_cone_relay(nodes: NodeSet, k: int) -> list[str]:
     """Verify the geometry that makes Yao graphs void-free for k >= 6.
 
     For every node u, every cone holding its selected neighbor w, and
-    every other node v in that cone: the angle at u between w and v
-    stays below pi/3 (cones are at most that wide, and w and v cannot
-    sit on different cone boundaries), and w is strictly closer to v
-    than u is. Collinear triples keep the strict distance inequality at
-    angle zero. Returns a list of violation descriptions, empty on pass.
+    every other node v in that cone: w is no farther from u than v is
+    (selection minimality, with the construction kernel's distance key),
+    and w is strictly closer to v than u is. A cone is at most pi/3
+    wide, so the first implies the second in exact arithmetic. Returns
+    a list of violation descriptions, empty on pass.
     """
     return _check_cone_relay(nodes, k, YAO)
 
@@ -207,12 +202,10 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
     if k < 6:
         raise ValueError("cone angle exceeds pi/3 below k = 6")
     build_directed = build_directed_yao if family == YAO else build_directed_theta
-    edges = np.array(build_directed(nodes, k).edges, dtype=np.intp).reshape(-1, 2)
-    pts = nodes.points
-    n = len(pts)
-    x = np.array([p.x for p in pts])
-    y = np.array([p.y for p in pts])
-    limit = math.pi / 3 + ANGLE_TOL
+    keys = build_directed(nodes, k).keys
+    n = len(nodes)
+    x, y = nodes.coordinates()
+    measure = "distance" if family == YAO else "projection"
     rows = max(1, _BLOCK_PAIRS // n)
     violations = []
     for r0 in range(0, n, rows):
@@ -227,9 +220,9 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
         rank = rank.reshape(b, n)
         slots = b * len(vals)
         slot = rank + np.arange(0, slots, len(vals))[:, None]
-        # each pair's pick w is u's edge in v's cone; edges are sorted by source
-        e0, e1 = np.searchsorted(edges[:, 0], (r0, r1))
-        eu, ew = edges[e0:e1].T
+        # each pair's pick w is u's edge in v's cone; keys are sorted by source
+        e0, e1 = keys.searchsorted((r0 * n, r1 * n))
+        eu, ew = np.divmod(keys[e0:e1], n)
         pick = np.full(slots, -1, dtype=np.intp)
         pick[slot[eu - r0, ew]] = ew
         w = pick[slot]
@@ -239,36 +232,26 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
             raise RuntimeError("a non-empty cone has no selected neighbor")
         w[~tested] = 0  # any real node; untested pairs are masked out below
         src = np.arange(b)[:, None]
-        # selection: Yao's angle bound, or Theta's projection minimality
+        d_uv = np.sqrt(dx * dx + dy * dy)
+        # selection: Yao's distance minimality, or Theta's projection minimality
         if family == YAO:
-            ax = dx[src, w]
-            ay = dy[src, w]
-            # angle_at's formula, with w - u as the first ray and v - u the second
-            selected = np.arctan2(np.abs(ax * dy - ay * dx), ax * dx + ay * dy) >= limit
+            key = d_uv
         else:
             # w shares v's cone, so one bisector per pair serves both projections
             bx, by = _bisectors(vals, k)
-            proj = dx * bx[rank] + dy * by[rank]
-            selected = ~(proj[src, w] <= proj)
+            key = dx * bx[rank] + dy * by[rank]
+        selected = ~(key[src, w] <= key) & tested
         wx = x - x[w]
         wy = y - y[w]
-        farther = ~(np.sqrt(wx * wx + wy * wy) < np.sqrt(dx * dx + dy * dy))
-        selected &= tested
-        farther &= tested
+        farther = ~(np.sqrt(wx * wx + wy * wy) < d_uv) & tested
         flagged = (selected | farther).nonzero()
         for r, v in zip(*(a.tolist() for a in flagged)):
             u, wv, i = r0 + r, int(w[r, v]), int(cone[r, v])
             if selected[r, v]:
-                if family == YAO:
-                    ang = angle_at(pts[u], pts[wv], pts[v])
-                    violations.append(
-                        f"angle({wv},{u},{v}) = {ang} >= pi/3 for cone {i} of node {u}"
-                    )
-                else:
-                    violations.append(
-                        f"selected neighbor {wv} of node {u} does not minimize the "
-                        f"projection in cone {i}"
-                    )
+                violations.append(
+                    f"selected neighbor {wv} of node {u} does not minimize the "
+                    f"{measure} in cone {i}"
+                )
             if farther[r, v]:
                 violations.append(f"selected neighbor {wv} of node {u} is not closer to {v}")
     return violations

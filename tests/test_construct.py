@@ -8,7 +8,6 @@ import pytest
 
 from conegraph.construct import (
     _BLOCK_PAIRS,
-    _build_directed_reference,
     build,
     build_directed_theta,
     build_directed_yao,
@@ -16,7 +15,7 @@ from conegraph.construct import (
 )
 from conegraph.corpus import random_nodeset
 from conegraph.geometry import Point, bisector_projection, cone_of
-from conegraph.model import NodeSet, distance, graphs_equal
+from conegraph.model import GeometricGraph, NodeSet, distance, graphs_equal
 
 
 def rescan_pick(nodes, u, i, k, family):
@@ -179,11 +178,36 @@ def test_single_node_graph_has_no_edges():
 # kernel against the scalar cone scan
 
 
+def reference_build_directed(nodes, k, family):
+    """The per-pair scalar cone scan: the oracle for the construction
+    kernel. It builds through the public constructor, which checks it."""
+    pts = nodes.points
+    edges = []
+    for u, pu in enumerate(pts):
+        best = {}
+        for v, pv in enumerate(pts):
+            if v == u:
+                continue
+            i = cone_of(pu, pv, k)
+            if family == "theta":
+                key = abs(bisector_projection(pu, pv, i, k))
+            else:
+                key = distance(pu, pv)
+            # strict < keeps the smallest node index on ties (v ascends)
+            if i not in best or key < best[i][0]:
+                best[i] = (key, v)
+        edges.extend((u, v) for _, v in best.values())
+    return GeometricGraph(family, k, True, nodes, tuple(sorted(edges)))
+
+
 def assert_matches_reference(nodes, k, family):
     built = build(nodes, family, k, directed=True)
-    want = _build_directed_reference(nodes, k, family)
+    want = reference_build_directed(nodes, k, family)
     assert built.edges == want.edges, (family, k, len(nodes))
-    assert built.warning == want.warning
+    # what build returns passes the public constructor's edge check
+    undirected = build(nodes, family, k)
+    for g in (built, undirected):
+        assert g == GeometricGraph(family, k, g.directed, nodes, g.edges, g.warning)
 
 
 def nodes_at(coords):

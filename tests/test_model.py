@@ -127,6 +127,153 @@ def test_graph_rejects_out_degree_above_k():
         GeometricGraph("yao", 1, True, ns, ((0, 1), (0, 2)))
 
 
+BIG = 10**30  # beyond intp: numpy would make an object array of it
+
+# (directed, k, edges, the exact message) over three nodes; the later
+# rows hold two faults each, and the message names the first edge at
+# fault, tested in the order range, self-loop, order, then out-degree
+# (directed) or normalization (undirected)
+EDGE_FAULTS = [
+    (True, 2, ((-1, 0),), "edge (-1, 0) references a missing node"),
+    (False, 2, ((0, 3),), "edge (0, 3) references a missing node"),
+    (True, 2, ((BIG, 0),), f"edge ({BIG}, 0) references a missing node"),
+    (False, 2, ((0, 1), (1, 2**63)), f"edge (1, {2**63}) references a missing node"),
+    (True, 2, ((1, 1),), "self-loop at node 1"),
+    (False, 2, ((0, 1), (0, 1)), "duplicate edge (0, 1)"),
+    (True, 2, ((0, 2), (0, 1)), "edges must be sorted"),
+    (True, 1, ((0, 1), (0, 2)), "out-degree exceeds k=1"),
+    (False, 2, ((1, 0),), "undirected edge (1, 0) not normalized as (i, j) with i < j"),
+    (True, 2, ((0, 2), (0, 1), (BIG, 0)), "edges must be sorted"),
+    (False, 2, ((3, 0), (1, 1)), "edge (3, 0) references a missing node"),
+    (True, 2, ((3, 3),), "edge (3, 3) references a missing node"),
+    (True, 2, ((2, 2), (-1, 0)), "self-loop at node 2"),
+    (True, 2, ((2, 1), (1, 1)), "self-loop at node 1"),
+    (False, 2, ((0, 1), (0, 1), (1, 1)), "duplicate edge (0, 1)"),
+    (True, 1, ((0, 1), (0, 2), (1, 1)), "out-degree exceeds k=1"),
+    (True, 1, ((1, 0), (1, 2), (1, 2)), "out-degree exceeds k=1"),
+    (True, 2, ((0, 1), (0, 2), (1, 0), (0, 1)), "edges must be sorted"),
+    (False, 2, ((1, 2), (1, 0)), "edges must be sorted"),
+    (False, 2, ((0, 2), (2, 1), (2, 2)),
+     "undirected edge (2, 1) not normalized as (i, j) with i < j"),
+]
+
+
+@pytest.mark.parametrize("directed, k, edges, message", EDGE_FAULTS)
+def test_edge_check_names_the_first_faulty_edge(directed, k, edges, message):
+    ns = nset((0, 0), (1, 0), (0, 1))
+    assert reference_edge_fault(edges, len(ns), k, directed) == message
+    with pytest.raises(ValueError) as exc:
+        GeometricGraph("yao", k, directed, ns, edges)
+    assert str(exc.value) == message
+
+
+# graph_from_dict sorts the edges first, so only faults that survive
+# sorting reach the check
+DICT_FAULTS = [
+    (True, 2, [[0, 1], [-1, 2]], "edge (-1, 2) references a missing node"),
+    (False, 2, [[0, 3]], "edge (0, 3) references a missing node"),
+    (True, 2, [[BIG, 0], [0, 1]], f"edge ({BIG}, 0) references a missing node"),
+    (True, 2, [[2, 2], [0, 1]], "self-loop at node 2"),
+    (False, 2, [[1, 2], [0, 1], [0, 1]], "duplicate edge (0, 1)"),
+    (True, 1, [[1, 2], [1, 0]], "out-degree exceeds k=1"),
+    (False, 2, [[2, 1], [0, 1]], "undirected edge (2, 1) not normalized as (i, j) with i < j"),
+    (True, 1, [[0, 2], [1, 1], [0, 1]], "out-degree exceeds k=1"),
+]
+
+
+@pytest.mark.parametrize("directed, k, edges, message", DICT_FAULTS)
+def test_graph_from_dict_names_the_first_faulty_edge(directed, k, edges, message):
+    data = graph_to_dict(GeometricGraph("yao", k, directed, nset((0, 0), (1, 0), (0, 1)), ()))
+    data["edges"] = edges
+    with pytest.raises(ValueError) as exc:
+        graph_from_dict(data)
+    assert str(exc.value) == message
+
+
+def reference_edge_fault(edges, n, k, directed):
+    """The per-edge check loop the vectorised check replaced: its message
+    for the first faulty edge, or None."""
+    prev = (-1, -1)
+    out_deg = 0
+    for e in edges:
+        a, b = e
+        if not (0 <= a < n and 0 <= b < n):
+            return f"edge {e} references a missing node"
+        if a == b:
+            return f"self-loop at node {a}"
+        if e <= prev:
+            return f"duplicate edge {e}" if e == prev else "edges must be sorted"
+        if directed:
+            out_deg = out_deg + 1 if a == prev[0] else 1
+            if out_deg > k:
+                return f"out-degree exceeds k={k}"
+        elif a > b:
+            return f"undirected edge {e} not normalized as (i, j) with i < j"
+        prev = e
+    return None
+
+
+endpoints = st.one_of(st.integers(-1, 4), st.sampled_from([BIG, -BIG, 2**63]))
+
+
+@given(st.lists(st.tuples(endpoints, endpoints), max_size=8), st.integers(1, 3), st.booleans(),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_edge_check_agrees_with_the_per_edge_loop(edges, k, directed, presorted):
+    ns = nset((0, 0), (1, 0), (0, 1), (1, 1))
+    edges = tuple(sorted(edges) if presorted else edges)
+    want = reference_edge_fault(edges, len(ns), k, directed)
+    if want is None:
+        g = GeometricGraph("yao", k, directed, ns, edges)
+        assert g.edges == edges
+    else:
+        with pytest.raises(ValueError) as exc:
+            GeometricGraph("yao", k, directed, ns, edges)
+        assert str(exc.value) == want
+
+
+def test_builder_keys_get_the_same_check():
+    ns = nset((0, 0), (1, 0), (0, 1))
+    for keys, message in (((1, 4), "self-loop at node 1"),
+                          ((1, 1), "duplicate edge (0, 1)"),
+                          ((2, 1), "edges must be sorted"),
+                          ((1, 9), "edge (3, 0) references a missing node"),
+                          ((-1, 1), "edge (-1, 2) references a missing node")):
+        with pytest.raises(ValueError) as exc:
+            GeometricGraph._from_keys("yao", 2, True, ns, np.array(keys))
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="out-degree exceeds k=1"):
+        GeometricGraph._from_keys("yao", 1, True, ns, np.array([1, 2]))
+
+
+def test_edges_are_stored_as_flat_keys_and_csr():
+    ns = nset((0, 0), (1, 0), (0, 1), (5, 5))
+    directed = GeometricGraph("yao", 2, True, ns, ((0, 1), (0, 2), (2, 0)))
+    assert directed.keys.tolist() == [1, 2, 8]
+    undirected = undirect(directed)
+    # both directions of every edge, each once: (0, 1), (0, 2), (1, 0), (2, 0)
+    assert undirected.keys.tolist() == [1, 2, 4, 8]
+    assert undirected.edges == ((0, 1), (0, 2))
+    indptr, indices = undirected.csr
+    assert indptr.tolist() == [0, 2, 3, 4, 4] and indices.tolist() == [1, 2, 0, 0]
+    assert undirected.adjacency == ((1, 2), (0,), (0,), ())
+    assert undirected == GeometricGraph("yao", 2, False, ns, [[0, 1], [0, 2]])
+    assert hash(undirected) == hash(GeometricGraph("yao", 2, False, ns, ((0, 1), (0, 2))))
+    assert undirected != directed and undirected != GeometricGraph("yao", 3, False, ns, ((0, 1),))
+    assert "edges=((0, 1), (0, 2))" in repr(undirected)
+    with pytest.raises(AttributeError):
+        undirected.k = 3
+    with pytest.raises(ValueError):
+        undirected.keys[0] = 0
+
+
+def test_edge_endpoints_must_be_integers():
+    ns = nset((0, 0), (1, 0), (0, 1))
+    for edges in (((0, 1.5),), ((0.0, 1),), (("0", 1),), ((0, 1, 2),), ((0,),)):
+        with pytest.raises(ValueError):
+            GeometricGraph("yao", 2, True, ns, edges)
+
+
 def test_directed_graph_has_no_undirected_adjacency():
     ns = nset((0, 0), (1, 0))
     g = GeometricGraph("yao", 1, True, ns, ((0, 1),))

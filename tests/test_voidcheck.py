@@ -271,8 +271,6 @@ def test_relay_near_boundary_fixture_k6():
     v = Point(math.sin(1e-6), math.cos(1e-6))
     ns = NodeSet([("u", Point(0, 0)), ("w", w), ("v", v)])
     assert check_yao_cone_relay(ns, 6) == []
-    from conegraph.geometry import angle_at
-
     ang = angle_at(Point(0, 0), w, v)
     assert math.pi / 3 - 1e-5 < ang < math.pi / 3
     assert distance(w, v) < distance(Point(0, 0), v)
@@ -306,13 +304,12 @@ def test_relay_checks_clean_on_random_sets():
 def reference_relay_violations(nodes, k, family):
     """The per-pair scalar relay loop: the reference for the array pass
     behind check_yao_cone_relay and check_theta_cone_relay. Like them, it
-    looks the builder and ANGLE_TOL up in voidcheck at call time."""
+    looks the builder up in voidcheck at call time."""
     if family == "yao":
         g = voidcheck.build_directed_yao(nodes, k)
     else:
         g = voidcheck.build_directed_theta(nodes, k)
     violations = []
-    limit = math.pi / 3 + voidcheck.ANGLE_TOL
     pts = nodes.points
     picks = {(u, cone_of(pts[u], pts[w], k)): w for u, w in g.edges}
     for u in range(len(pts)):
@@ -325,10 +322,10 @@ def reference_relay_violations(nodes, k, family):
             if w == v:
                 continue
             if family == "yao":
-                ang = angle_at(pu, pts[w], pts[v])
-                if ang >= limit:
+                if not distance(pu, pts[w]) <= distance(pu, pts[v]):
                     violations.append(
-                        f"angle({w},{u},{v}) = {ang} >= pi/3 for cone {i} of node {u}"
+                        f"selected neighbor {w} of node {u} does not minimize the "
+                        f"distance in cone {i}"
                     )
             elif not bisector_projection(pu, pts[w], i, k) <= bisector_projection(pu, pts[v], i, k):
                 violations.append(
@@ -410,18 +407,8 @@ def test_relay_reports_what_the_reference_reports(monkeypatch, family):
         assert relay(nodes, k, family) == expected
         reported += expected
     assert any("is not closer to" in m for m in reported)
-    if family == "theta":
-        assert any("does not minimize the projection" in m for m in reported)
-    # the Yao angle bound cannot fail with true cones; a negative tolerance
-    # flags angles below pi/3, and the messages must still match
-    monkeypatch.setattr(voidcheck, "ANGLE_TOL", -0.5)
-    reported = []
-    for nodes, k in sets[:10]:
-        expected = reference_relay_violations(nodes, k, family)
-        assert relay(nodes, k, family) == expected
-        reported += expected
-    if family == "yao":
-        assert any(m.startswith("angle(") for m in reported)
+    measure = "distance" if family == "yao" else "projection"
+    assert any(f"does not minimize the {measure}" in m for m in reported)
     # blocks of one row, and of two rows with the last one partial
     for block in (1, 2 * 41):
         monkeypatch.setattr(voidcheck, "_BLOCK_PAIRS", block)
@@ -453,3 +440,17 @@ def test_void_free_for_k6_at_tiny_scale():
     g = build(ns, "yao", 6)
     assert check_void_free(g).void_free
     assert check_by_routing(g).void_free
+
+
+@pytest.mark.xfail(strict=True, reason="each side of this near-equilateral triangle lies on a "
+                   "k = 6 cone ray, and double-precision cone and distance rounding turn "
+                   "the exact void-free Yao graph into one with the void (2, 0)")
+def test_void_free_for_k6_at_unit_scale():
+    ns = NodeSet([("u", Point(0, 0)),
+                  ("w", Point(-0.8660254037844388, -0.4999999999999996)),
+                  ("v", Point(-0.8660254037844386, 0.5000000000000001))])
+    g = build(ns, "yao", 6)
+    assert check_void_free(g).void_free
+    assert check_by_routing(g).void_free
+    assert check_yao_cone_relay(ns, 6) == []
+    assert check_theta_cone_relay(ns, 6) == []
