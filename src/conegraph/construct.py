@@ -14,6 +14,14 @@ the kernel takes the same double-precision steps as geometry.cone_of,
 geometry.bisector_projection and model.distance; the tests compare it
 edge for edge with a per-pair scalar cone scan.
 
+The kernel has a leading batch axis: it takes B node sets of n nodes
+each as (B, n) coordinate arrays, and source row g*n + u is node u of
+set g. A block holds as many whole sets as fit, or else a run of one
+set's rows, so a row is only ever compared with its own set. The picks
+come out as the flat keys (g*n + u)*n + v. The builders here pass one
+set (B = 1), whose keys are the graph's keys u*n + v; the counterexample
+search passes many small sets at once.
+
 A directed graph holds its edges as the sorted flat keys u*n + v that
 the kernel picks, and undirect merges them with their reverses, so no
 step builds an edge tuple.
@@ -24,7 +32,7 @@ import numpy as np
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
 from .geometry import TAU, _bisector, _check_k, cone_of  # noqa: F401
-from .model import THETA, YAO, GeometricGraph, NodeSet
+from .model import THETA, YAO, GeometricGraph, NodeSet, _symmetric_keys
 
 # For k < 3 a cone spans a half-plane or the whole plane, so projections
 # onto the bisector stop being positive for all in-cone points and the
@@ -46,28 +54,22 @@ def build_directed_yao(nodes: NodeSet, k: int) -> GeometricGraph:
     """Directed Yao graph: each node points at its Euclidean-closest
     node within each of its k cones."""
     _check_k(k)
-    return _build_directed(nodes, k, YAO)
+    return _directed_graph(nodes, k, YAO)
 
 
 def build_directed_theta(nodes: NodeSet, k: int) -> GeometricGraph:
     """Directed Theta graph: as Yao, but "closest" means the smallest
     projection distance onto the cone's bisector."""
     _check_k(k)
-    return _build_directed(nodes, k, THETA)
+    return _directed_graph(nodes, k, THETA)
 
 
 def undirect(g: GeometricGraph) -> GeometricGraph:
     """Forget edge directions, collapsing mutual pairs to one edge."""
     if not g.directed:
         raise ValueError("graph is already undirected")
-    # both directions of every edge, sorted, each key once: the CSR adjacency
-    u, v = np.divmod(g.keys, len(g.nodes))
-    keys = np.concatenate((g.keys, v * len(g.nodes) + u))
-    keys.sort()
-    keep = np.empty(keys.size, bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return GeometricGraph._from_keys(g.family, g.k, False, g.nodes, keys[keep], g.warning)
+    keys = _symmetric_keys(g.keys, len(g.nodes))
+    return GeometricGraph._from_keys(g.family, g.k, False, g.nodes, keys, g.warning)
 
 
 def build(nodes: NodeSet, family: str, k: int, directed: bool = False) -> GeometricGraph:
@@ -81,26 +83,32 @@ def build(nodes: NodeSet, family: str, k: int, directed: bool = False) -> Geomet
     return g if directed else undirect(g)
 
 
-def _build_directed(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
-    theta = family == THETA
-    n = len(nodes)
+def _directed_graph(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
     x, y = nodes.coordinates()
-    rows = max(1, _BLOCK_PAIRS // n)
+    keys = _build_directed(x[None], y[None], k, family)
+    warning = _THETA_WIDE_CONE_WARNING if family == THETA and k < 3 else None
+    return GeometricGraph._from_keys(family, k, True, nodes, keys, warning)
+
+
+def _build_directed(x, y, k: int, family: str) -> np.ndarray:
+    """The construction kernel over B node sets of n nodes each, given as
+    (B, n) coordinate arrays. Returns the picks as sorted flat keys
+    (g*n + u)*n + v, which for B = 1 are the directed graph's keys."""
+    theta = family == THETA
+    n = x.shape[1]
     picks = []
-    for r0 in range(0, n, rows):
-        # dx, dy are v - u for source rows u and target columns v
-        dx = x - x[r0:r0 + rows, None]
-        dy = y - y[r0:r0 + rows, None]
+    for g0, g1, u0, u1 in _row_blocks(len(x), n, _BLOCK_PAIRS):
+        # dx, dy are v - u for source rows u and target columns v of one set
+        dx = (x[g0:g1, None] - x[g0:g1, u0:u1, None]).reshape(-1, n)
+        dy = (y[g0:g1, None] - y[g0:g1, u0:u1, None]).reshape(-1, n)
         angle, cone = _cones(dx, dy, k)
-        angle.reshape(-1)[r0::n + 1] = -1.0  # the self pair sorts first; dropped
+        angle.reshape(g1 - g0, -1)[:, u0::n + 1] = -1.0  # self pairs sort first; dropped
         # The cone index is non-decreasing in the angle, so along each row's
         # angular order every cone is one contiguous run.
         at = angle.argsort(axis=1)[:, 1:]
         at += np.arange(0, angle.size, n)[:, None]
         at = at.reshape(-1)
         cone = cone.take(at)
-        dx = dx.take(at)
-        dy = dy.take(at)
         runs = np.empty(at.size, bool)
         np.not_equal(cone[1:], cone[:-1], out=runs[1:])
         runs[::max(n - 1, 1)] = True  # each row opens a run (n == 1 has no pairs)
@@ -108,18 +116,30 @@ def _build_directed(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
         run = runs.cumsum() - 1
         if theta:
             bx, by = _bisectors(cone[heads], k)
-            key = np.abs(dx * bx[run] + dy * by[run])
+            key = np.abs(dx.take(at) * bx[run] + dy.take(at) * by[run])
             # NaN keys (dx, dy both infinite) rank as +inf; the scan instead
             # keeps a NaN that comes first in its cone
             np.fmin(key, np.inf, out=key)
         else:
-            key = np.sqrt(dx * dx + dy * dy)
+            key = np.sqrt(dx * dx + dy * dy).take(at)
         hit = key == np.minimum.reduceat(key, heads)[run]
         # the smallest flat index among a run's minima is its smallest column
-        picks.append(np.minimum.reduceat(np.where(hit, at, angle.size), heads) + r0 * n)
-    warning = _THETA_WIDE_CONE_WARNING if theta and k < 3 else None
-    return GeometricGraph._from_keys(family, k, True, nodes, np.sort(np.concatenate(picks)),
-                                     warning)
+        picks.append(np.minimum.reduceat(np.where(hit, at, angle.size), heads)
+                     + (g0 * n + u0) * n)
+    return np.sort(np.concatenate(picks))
+
+
+def _row_blocks(sets: int, n: int, size: int) -> list[tuple[int, int, int, int]]:
+    """Blocks (g0, g1, u0, u1), source rows u0..u1-1 of node sets g0..g1-1
+    of `sets` sets of n nodes, each holding about `size` ordered pairs: as
+    many whole sets as fit, or else a run of one set's rows."""
+    if sets * n * n <= size:  # the common case, a small graph or batch
+        return [(0, sets, 0, n)]
+    if n * n <= size:
+        step = size // (n * n)
+        return [(g0, min(g0 + step, sets), 0, n) for g0 in range(0, sets, step)]
+    step = max(1, size // n)
+    return [(g, g + 1, u0, min(u0 + step, n)) for g in range(sets) for u0 in range(0, n, step)]
 
 
 def _cones(dx, dy, k: int):
@@ -137,8 +157,14 @@ def _cones(dx, dy, k: int):
 def _bisectors(cone, k: int):
     """Bisector components of each cone index in the 1-d array cone, as
     geometry.bisector_direction computes them, with one call per distinct
-    cone."""
-    vals, at = np.unique(cone, return_inverse=True)
+    cone. A sort and searchsorted cost less than np.unique below a few
+    thousand entries; a block's runs number rows times occupied cones,
+    which passes that only when k is in the hundreds."""
+    vals = np.sort(cone)
+    first = np.empty(vals.size, bool)
+    first[:1] = True
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    vals = vals[first]
     bx, by = np.array([_bisector(i, k) for i in vals.tolist()]).reshape(-1, 2).T
+    at = vals.searchsorted(cone)
     return bx[at], by[at]
-

@@ -10,13 +10,20 @@ every run, so the checkers stay the ground truth.
 """
 
 import importlib.resources
+import operator
 import random
 from dataclasses import dataclass
+from itertools import chain
 
-from .construct import build
+import numpy as np
+
+from .construct import _BLOCK_PAIRS, _build_directed, build
 from .geometry import TAU, Point, clockwise_angle_from_north, cone_of
-from .model import THETA, YAO, FAMILIES, NodeSet, distance, graphs_equal, node_set_from_json
-from .voidcheck import check_void_free, has_void
+from .model import (
+    THETA, YAO, FAMILIES, NodeSet, _check_edges, _csr, _distances, _symmetric_keys, distance,
+    graphs_equal, node_set_from_json,
+)
+from .voidcheck import _void_witnesses, check_void_free, has_void
 
 # Angular slack for V2's near-boundary placement: v sits inside c(u,1)
 # within this many radians of the cone's trailing ray.
@@ -138,8 +145,7 @@ def random_nodeset(n: int, seed: int) -> NodeSet:
     seed; ids are p0..p{n-1}."""
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
-    rng = random.Random(seed)
-    return NodeSet(zip((f"p{i}" for i in range(n)), _sample_points(rng, n)))
+    return _node_set(_sample_points(random.Random(seed), n))
 
 
 def search_counterexample(
@@ -154,34 +160,105 @@ def search_counterexample(
 
     With n_nodes=None each trial draws its size from 4..8. Deterministic
     given (family, k, n_nodes, seed, budget). Rejects k outside 1..5,
-    where no counterexample exists, and a budget below one trial.
+    where no counterexample exists, and a budget below one trial; k,
+    n_nodes and budget must be integers (numpy's included), not bools.
+
+    Trial 1 is built and scanned on its own. Later trials may be
+    evaluated speculatively: they are drawn in batches of 2, 4, 8, ...
+    trials, and each batch is built and scanned at once, node sets of
+    one size together. The first trial of a batch with a void is
+    rebuilt and confirmed by check_void_free. The draws come from the
+    same random stream in the same order as one trial at a time, so
+    the reported trials and nodes are those of the first trial with a
+    void; draws past it are discarded.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    k = _integer(k, "k")
     if not 1 <= k <= 5:
         raise ValueError("k outside 1..5: theorem guarantees no counterexample")
-    if n_nodes is not None and n_nodes < 2:
-        raise ValueError(f"need at least two nodes, got {n_nodes}")
+    if n_nodes is not None:
+        n_nodes = _integer(n_nodes, "node count")
+        if n_nodes < 2:
+            raise ValueError(f"need at least two nodes, got {n_nodes}")
+    budget = _integer(budget, "trial budget")
     if budget < 1:
         raise ValueError(f"trial budget must be at least 1, got {budget}")
     rng = random.Random(seed)
-    for trial in range(1, budget + 1):
-        n = n_nodes if n_nodes is not None else rng.randint(4, 8)
-        nodes = NodeSet(zip((f"p{i}" for i in range(n)), _sample_points(rng, n)))
-        g = build(nodes, family, k)
-        if has_void(g):
-            assert not check_void_free(g).void_free  # sound by construction
-            return SearchResult(nodes=nodes, trials=trial)
+
+    def draw():
+        return _sample_points(rng, n_nodes if n_nodes is not None else rng.randint(4, 8))
+
+    g = build(_node_set(draw()), family, k)
+    if has_void(g):
+        return _confirmed(g, 1)
+    # a batch of the largest trials fits one construction block
+    n_max = 8 if n_nodes is None else n_nodes
+    cap = max(1, _BLOCK_PAIRS // (n_max * n_max))
+    trial, size = 1, 2
+    while trial < budget:
+        batch = [draw() for _ in range(min(size, cap, budget - trial))]
+        hit = _first_void(batch, family, k)
+        if hit is not None:
+            return _confirmed(build(_node_set(batch[hit]), family, k), trial + hit + 1)
+        trial += len(batch)
+        size *= 2
     return SearchResult(nodes=None, trials=budget)
 
 
-def _sample_points(rng: random.Random, n: int) -> list[Point]:
-    points: list[Point] = []
-    seen: set[tuple[float, float]] = set()
-    while len(points) < n:
-        xy = (rng.random(), rng.random())
-        if xy in seen:  # exact duplicate draw: regenerate
+def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:
+    """Index of the first drawn node set in batch, given by its flat
+    coordinates, whose family-k graph has a void, or None. Sets of one
+    size are built and scanned together, as one batch of the construction
+    kernel and of the pair scan."""
+    sizes: dict[int, list[int]] = {}
+    for i, coords in enumerate(batch):
+        sizes.setdefault(len(coords) // 2, []).append(i)
+    first = None
+    for n, at in sizes.items():
+        if first is not None and at[0] > first:
             continue
-        seen.add(xy)
-        points.append(Point(*xy))
-    return points
+        xy = np.array([batch[i] for i in at])
+        x, y = xy[:, 0::2], xy[:, 1::2]
+        directed = _build_directed(x, y, k, family)
+        _check_edges(directed, n, k, True, graphs=len(at))
+        csr = _csr(_symmetric_keys(directed, n, len(at)), n, len(at))
+        block = next(_void_witnesses(_distances(x, y), *csr), None)
+        if block is not None:  # its first witness is in the first graph with a void
+            r0, mask = block[:2]
+            i = at[(r0 + mask.argmax() // n) // n]
+            first = i if first is None else min(first, i)
+    return first
+
+
+def _confirmed(g, trials: int) -> SearchResult:
+    """The search result for trial number `trials`, whose graph g was
+    found to have a void, once the full pair scan agrees."""
+    if check_void_free(g).void_free:
+        raise RuntimeError(f"the void found at trial {trials} is not confirmed by the pair scan")
+    return SearchResult(nodes=g.nodes, trials=trials)
+
+
+def _integer(value, what: str) -> int:
+    """value as a plain int: any integer, numpy's included, but a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _sample_points(rng: random.Random, n: int) -> list[float]:
+    """n distinct points drawn from rng uniformly in the unit square, as
+    the flat coordinate list x0, y0, x1, y1, ..."""
+    seen: dict[tuple[float, float], None] = {}
+    while len(seen) < n:
+        seen[rng.random(), rng.random()] = None  # an exact duplicate is drawn again
+    return list(chain.from_iterable(seen))
+
+
+def _node_set(coords: list[float]) -> NodeSet:
+    """The node set p0..p{n-1} at the flat coordinates x0, y0, x1, y1, ..."""
+    ids = (f"p{i}" for i in range(len(coords) // 2))
+    return NodeSet(zip(ids, map(Point, coords[::2], coords[1::2])))

@@ -141,8 +141,7 @@ class GeometricGraph:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices): u's out-neighbors, which are its neighbors
         when undirected, are indices[indptr[u]:indptr[u + 1]], ascending."""
-        n = len(self.nodes)
-        return self.keys.searchsorted(np.arange(0, n * n + 1, n)), self.keys % n
+        return _csr(self.keys, len(self.nodes), 1)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -155,12 +154,6 @@ class GeometricGraph:
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
-
-    @cached_property
-    def undirected_edge_set(self) -> frozenset[tuple[int, int]]:
-        if self.directed:
-            return frozenset((min(a, b), max(a, b)) for a, b in self.edges)
-        return self.edge_set
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -182,10 +175,7 @@ class GeometricGraph:
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:
-        xs, ys = self.nodes.coordinates()
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        return np.sqrt(dx * dx + dy * dy)
+        return _distances(*self.nodes.coordinates())
 
     @cached_property
     def _dist_rows(self) -> list[list[float]]:
@@ -224,13 +214,14 @@ def _edge_pairs(edges, n: int) -> np.ndarray:
     return pairs.astype(np.intp, copy=False)
 
 
-def _edges_valid(keys, n: int, k: int, directed: bool, pairs) -> bool:
+def _edges_valid(keys, n: int, k: int, directed: bool, pairs, graphs: int = 1) -> bool:
     """_check_edges' rules over whole arrays, in a few counts."""
     m = keys.size
     if m == 0:
         return True
     if pairs is None:
-        in_range = 0 <= keys[0] and keys[-1] < n * n  # given the order count below
+        # given the order count below
+        in_range = 0 <= keys[0] and keys[-1] < graphs * n * n
     else:
         in_range = np.count_nonzero(pairs.view(np.uintp) < n) == 2 * m
     if directed:
@@ -239,32 +230,37 @@ def _edges_valid(keys, n: int, k: int, directed: bool, pairs) -> bool:
         bounded = k >= m or np.count_nonzero(rows[k:] > rows[:-k]) == m - k
     else:
         bounded = np.count_nonzero(pairs[:, 0] < pairs[:, 1]) == m
+    # a graph's own key u*n + v is a self-loop iff it is a multiple of n + 1
+    own = keys % (n * n) if graphs > 1 else keys
     return bool(in_range and bounded and np.count_nonzero(keys[1:] > keys[:-1]) == m - 1
-                and np.count_nonzero(keys % (n + 1)) == m)
+                and np.count_nonzero(own % (n + 1)) == m)
 
 
-def _check_edges(keys, n: int, k: int, directed: bool, edges=None, pairs=None) -> None:
+def _check_edges(keys, n: int, k: int, directed: bool, edges=None, pairs=None,
+                 graphs: int = 1) -> None:
     """Raise the message of the first faulty edge, if any.
 
     keys are the flat keys in the given order; edges and pairs are the
     user's edges and their endpoint array, or None for a builder's keys.
+    A builder's keys may cover a batch of graphs on n nodes each, as
+    keys (g*n + u)*n + v; a message then names u by its row g*n + u.
     Each edge is tested for, in order: an endpoint out of range, a
     self-loop, not following its predecessor in strictly increasing
     order, and an out-degree above k (directed) or i > j (undirected).
     """
-    if _edges_valid(keys, n, k, directed, pairs):
+    if _edges_valid(keys, n, k, directed, pairs, graphs):
         return
     # every prefix of a valid edge list is valid: bisect for the shortest faulty one
     i = bisect_left(range(1, keys.size + 1), True, key=lambda j: not _edges_valid(
-        keys[:j], n, k, directed, None if pairs is None else pairs[:j]))
+        keys[:j], n, k, directed, None if pairs is None else pairs[:j], graphs))
     if edges is None:
         edges = [divmod(int(key), n) for key in keys[max(i - 1, 0):i + 1]]
         i = min(i, 1)
     e = edges[i]
     a, b = e
-    if not (0 <= a < n and 0 <= b < n):
+    if not (0 <= a < graphs * n and 0 <= b < n):
         raise ValueError(f"edge {e} references a missing node")
-    if a == b:
+    if a % n == b:
         raise ValueError(f"self-loop at node {a}")
     if i and tuple(e) <= tuple(edges[i - 1]):
         raise ValueError(f"duplicate edge {e}" if tuple(e) == tuple(edges[i - 1])
@@ -298,7 +294,8 @@ class VoidWitness:
 
 
 def graphs_equal(g1: GeometricGraph, g2: GeometricGraph) -> bool:
-    """True iff both graphs have identical undirected edge sets.
+    """True iff both graphs have identical undirected edge sets, directed
+    graphs being undirected first.
 
     Requires the same node set (same ids, bit-identical coordinates).
     """
@@ -308,7 +305,40 @@ def graphs_equal(g1: GeometricGraph, g2: GeometricGraph) -> bool:
     )
     if not same:
         raise ValueError("graphs are over different node sets")
-    return g1.undirected_edge_set == g2.undirected_edge_set
+    n = len(n1)
+    k1, k2 = (_symmetric_keys(g.keys, n) if g.directed else g.keys for g in (g1, g2))
+    return np.array_equal(k1, k2)
+
+
+def _symmetric_keys(keys, n: int, graphs: int = 1) -> np.ndarray:
+    """Sorted directed keys of one graph or of a batch of graphs on n nodes
+    each, merged with their reverses, each key once: the undirected keys.
+    Key (g*n + u)*n + v reverses to (g*n + v)*n + u."""
+    rows, v = np.divmod(keys, n)
+    u = rows % n if graphs > 1 else rows
+    keys = np.concatenate((keys, keys + (v - u) * (n - 1)))
+    keys.sort()
+    keep = np.empty(keys.size, bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _csr(keys, n: int, graphs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the sorted keys (g*n + u)*n + v of a batch of
+    graphs on n nodes each: the targets of source row g*n + u, as rows
+    g*n + v, are indices[indptr[g*n + u]:indptr[g*n + u + 1]]."""
+    indptr = keys.searchsorted(np.arange(0, graphs * n * n + 1, n))
+    return indptr, keys % n if graphs == 1 else keys // (n * n) * n + keys % n
+
+
+def _distances(x, y) -> np.ndarray:
+    """Pairwise Euclidean distances, sqrt(dx*dx + dy*dy), of the points in
+    each row of the coordinate arrays x and y: shape (..., n) gives
+    (..., n, n)."""
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ some neighbor strictly closer to v than u itself. The exhaustive pair
 scan is the reference semantics. It works on blocks of source rows: per
 block it folds in the distance-matrix rows of each source's neighbors,
 a few neighbor slots at a time, keeping every target's minimum, so
-has_void stops after the first block that holds a witness.
+has_void stops after the first block that holds a witness. Like the
+construction kernel, the scan has a leading batch axis: it takes the
+(B, n, n) distance matrices and the CSR of B graphs on n nodes each,
+whose rows g*n + u never reach into another graph, and yields witnesses
+in (g, u, v) order. check_void_free and has_void scan one graph (B = 1);
+the counterexample search scans many small graphs at once and reads the
+first graph with a void from the first witness.
 check_by_routing is an independent oracle exploiting the equivalence
 with greedy forwarding succeeding between all ordered pairs. It
 tabulates every node's next hop toward every target, finds where all
@@ -28,7 +34,8 @@ import numpy as np
 from .geometry import cone_of  # noqa: F401
 from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness
 from .construct import (
-    _BLOCK_PAIRS, _bisectors, _cones, build_directed_theta, build_directed_yao,
+    _BLOCK_PAIRS, _bisectors, _cones, _row_blocks, build_directed_theta,
+    build_directed_yao,
 )
 from .routing import greedy_route
 
@@ -54,8 +61,12 @@ def check_void_free(g: GeometricGraph) -> VoidReport:
     strictly closer to v; witnesses come out sorted by (u, v). A
     single-node graph is vacuously void-free.
     """
-    witnesses = tuple(_void_witnesses(g))
-    return VoidReport(void_free=not witnesses, witnesses=witnesses)
+    witnesses = []
+    for r0, mask, d, best in _scan(g):
+        us, vs = mask.nonzero()
+        witnesses.extend(map(VoidWitness, (us + r0).tolist(), vs.tolist(),
+                             d[mask].tolist(), best[mask].tolist()))
+    return VoidReport(void_free=not witnesses, witnesses=tuple(witnesses))
 
 
 def has_void(g: GeometricGraph) -> bool:
@@ -64,32 +75,40 @@ def has_void(g: GeometricGraph) -> bool:
     Runs the same scan and stops after the first block of source rows
     that holds a witness; used in bulk by the counterexample search.
     """
-    return next(_void_witnesses(g), None) is not None
+    return next(_scan(g), None) is not None
 
 
-def _void_witnesses(g: GeometricGraph):
-    """The pair scan: yields every witness in (u, v) order, computing one
-    block of source rows at a time."""
+def _scan(g: GeometricGraph):
     if g.directed:
         raise ValueError("void-freeness is defined on the undirected graph")
-    n = len(g.nodes)
+    return _void_witnesses(g.dist_matrix[None], *g.csr)
+
+
+def _void_witnesses(dist, indptr, indices):
+    """The pair scan over B undirected graphs on n nodes each: dist holds
+    their (B, n, n) distance matrices, and indptr, indices the CSR of
+    their keys (model._csr), whose source and target rows are g*n + u.
+    Computes one block of source rows at a time, in order, and yields
+    each block that holds a witness as (r0, mask, d, best): its first
+    row r0 and, over its rows r0 + r and targets v, mask[r, v] marking
+    the witnesses, d[r, v] = d(u, v) and best[r, v], the distance to v
+    of u's neighbor nearest to v."""
+    graphs, n = dist.shape[:2]
     if n < 2:
         return
-    dist = g.dist_matrix
-    indptr, indices = g.csr
+    dist = dist.reshape(-1, n)  # row g*n + u: node u's distances in graph g
     deg = indptr[1:] - indptr[:-1]
     width = max(1, int(deg.max()))
-    # nb[u] is u's neighbor list padded to the largest degree with its own
-    # last neighbor, which cannot change a minimum; an isolated node gets
-    # an arbitrary one and +inf below
+    # nb[r] is row r's neighbor rows, padded to the largest degree with its
+    # own last neighbor, which cannot change a minimum; an isolated row
+    # gets an arbitrary one and +inf below
     at = np.minimum(indptr[:-1, None] + np.arange(width), indptr[1:, None] - 1)
-    nb = indices.take(at, mode="clip") if indices.size else np.zeros((n, width), np.intp)
-    rows = max(1, _SCAN_BLOCK // n)
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        # best[u, v] is the distance to v of u's neighbor nearest to v. The
-        # block gathers `step` neighbor slots at a time, at most _SCAN_BLOCK
-        # entries; slots past its largest degree hold padding only
+    nb = indices.take(at, mode="clip") if indices.size else np.zeros((len(dist), width), np.intp)
+    for g0, g1, u0, u1 in _row_blocks(graphs, n, _SCAN_BLOCK):
+        r0, r1 = g0 * n + u0, (g1 - 1) * n + u1
+        # best[r, v] is the distance to v of row r's neighbor nearest to v.
+        # The block gathers `step` neighbor slots at a time, at most
+        # _SCAN_BLOCK entries; slots past its largest degree hold padding only
         step = max(1, _SCAN_BLOCK // ((r1 - r0) * n))
         best = dist.take(nb[r0:r1, :step], axis=0).min(axis=1)
         for j in range(step, deg[r0:r1].max() if step < width else 0, step):
@@ -97,13 +116,9 @@ def _void_witnesses(g: GeometricGraph):
         best[deg[r0:r1] == 0] = np.inf
         d = dist[r0:r1]
         mask = best >= d
-        mask.reshape(-1)[r0::n + 1] = False  # u == v
-        if not np.count_nonzero(mask):
-            continue
-        us, vs = mask.nonzero()
-        for u, v, d_uv, b in zip((us + r0).tolist(), vs.tolist(),
-                                 d[mask].tolist(), best[mask].tolist()):
-            yield VoidWitness(u, v, d_uv, b)
+        mask.reshape(g1 - g0, -1)[:, u0::n + 1] = False  # u == v
+        if np.count_nonzero(mask):
+            yield r0, mask, d, best
 
 
 def check_by_routing(g: GeometricGraph) -> VoidReport:
@@ -206,10 +221,8 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
     n = len(nodes)
     x, y = nodes.coordinates()
     measure = "distance" if family == YAO else "projection"
-    rows = max(1, _BLOCK_PAIRS // n)
     violations = []
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
+    for _, _, r0, r1 in _row_blocks(1, n, _BLOCK_PAIRS):
         b = r1 - r0
         # dx, dy are v - u for source rows u and target columns v
         dx = x - x[r0:r1, None]

@@ -215,6 +215,17 @@ def test_search_nonpositive_budget_exits_2(capsys, budget):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("flag", ["--k", "--nodes", "--budget"])
+def test_search_non_integer_argument_exits_2(capsys, flag):
+    args = {"--k": "1", "--nodes": "4", "--budget": "5"}
+    args[flag] = "2.5"
+    # argparse rejects the value before search_counterexample sees it
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--family", "yao", *(a for kv in args.items() for a in kv)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_search_k6_rejected(capsys):
     code, _, err = run(capsys, "search", "--family", "yao", "--k", "6")
     assert code == 2

@@ -4,10 +4,12 @@ and of the numpy kernel against the scalar per-pair cone scan."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conegraph.construct import (
     _BLOCK_PAIRS,
+    _build_directed,
     build,
     build_directed_theta,
     build_directed_yao,
@@ -297,3 +299,62 @@ def test_kernel_picks_one_node_per_cone_when_differences_overflow():
             occupied = {cone_of(pts[u], pts[v], k) for v in range(len(pts)) if v != u}
             assert sorted(picked) == sorted(occupied), (k, u)
         assert_matches_reference(ns, k, "yao")
+
+
+# ---------------------------------------------------------------------------
+# the kernel's batch axis
+
+
+def batch_coordinates(node_sets):
+    """(B, n) x and y arrays of B node sets of one size."""
+    xy = [ns.coordinates() for ns in node_sets]
+    return np.array([x for x, _ in xy]), np.array([y for _, y in xy])
+
+
+def assert_batch_matches_per_graph(node_sets, k, family):
+    """The kernel over a batch picks, set by set, the keys build_directed_*
+    picks for each set alone; batch keys are (g*n + u)*n + v."""
+    n = len(node_sets[0])
+    keys = _build_directed(*batch_coordinates(node_sets), k, family)
+    assert (np.diff(keys) > 0).all()
+    builder = build_directed_yao if family == "yao" else build_directed_theta
+    for g, ns in enumerate(node_sets):
+        mine = keys[(keys >= g * n * n) & (keys < (g + 1) * n * n)] - g * n * n
+        assert mine.tolist() == builder(ns, k).keys.tolist(), (family, k, g)
+
+
+def turned(coords, quarter_turns):
+    for _ in range(quarter_turns):
+        coords = [(-y, x) for x, y in coords]
+    return coords
+
+
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_batch_matches_per_graph_on_lattices(family):
+    # 144 nodes: one set's n*n pairs exceed a block, so each set is cut into
+    # runs of rows, and runs never mix sets
+    lattice = [(x, y) for x in range(12) for y in range(12)]
+    assert len(lattice) ** 2 > _BLOCK_PAIRS
+    sets = [nodes_at(turned(lattice, q)) for q in range(3)]
+    sets.append(nodes_at([(x + 0.5 * (y % 2), y * 0.75) for x, y in lattice]))
+    for k in (1, 2, 4, 5, 6, 12):
+        assert_batch_matches_per_graph(sets, k, family)
+
+
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_batch_matches_per_graph_on_rays_ties_and_two_nodes(family):
+    rays = [(0, 0)] + [(r * dx, r * dy) for r in (1, 2)
+                       for dx, dy in ((0, 1), (1, 1), (1, 0), (1, -1),
+                                      (0, -1), (-1, -1), (-1, 0), (-1, 1))]
+    twos = [[(0, 0), (0, 1)], [(0, 0), (3, -1e-9)], [(0, 0), (-1, 0)], [(2, 2), (1, 1)]]
+    for k in list(range(1, 17)) + [10**9, 10**18]:
+        assert_batch_matches_per_graph([nodes_at(turned(rays, q)) for q in range(4)], k, family)
+        assert_batch_matches_per_graph([nodes_at(c) for c in twos], k, family)
+
+
+def test_batch_matches_per_graph_on_random_sets():
+    rng = random.Random(7)
+    for trial in range(300):
+        n = rng.randint(2, 12)
+        sets = [random_nodeset(n, seed=1000 * trial + b) for b in range(rng.randint(1, 40))]
+        assert_batch_matches_per_graph(sets, rng.randint(1, 8), rng.choice(["yao", "theta"]))

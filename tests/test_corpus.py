@@ -1,8 +1,12 @@
 """Tests for the shipped counter-example corpus and the randomized
 counterexample search."""
 
+import random
+
+import numpy as np
 import pytest
 
+from conegraph import corpus
 from conegraph.construct import build, undirect, build_directed_theta, build_directed_yao
 from conegraph.corpus import (
     CorpusEntry,
@@ -14,7 +18,7 @@ from conegraph.corpus import (
 )
 from conegraph.geometry import Point
 from conegraph.model import NodeSet, distance, graphs_equal
-from conegraph.voidcheck import check_void_free
+from conegraph.voidcheck import check_void_free, has_void
 
 
 def entry(name):
@@ -225,3 +229,161 @@ def test_search_result_revalidates():
     g = build(result.nodes, "theta", 2)
     report = check_void_free(g)
     assert not report.void_free
+
+
+def test_sampler_draws_an_exact_duplicate_again():
+    class Scripted:
+        def __init__(self, values):
+            self.values = iter(values)
+
+        def random(self):
+            return next(self.values)
+
+    rng = Scripted([0.1, 0.2, 0.1, 0.2, 0.3, 0.4, 0.5])
+    assert corpus._sample_points(rng, 2) == [0.1, 0.2, 0.3, 0.4]
+    assert next(rng.values) == 0.5
+
+
+def test_search_takes_numpy_integers():
+    want = search_counterexample("theta", 3, n_nodes=5, seed=2, budget=40)
+    got = search_counterexample("theta", np.int64(3), n_nodes=np.int32(5), seed=2,
+                                budget=np.int64(40))
+    assert (got.trials, got.nodes) == (want.trials, want.nodes)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, False, np.True_, np.float64(3.0), "3", None])
+def test_search_rejects_non_integer_k(bad):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        search_counterexample("yao", bad, budget=5)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "4"])
+def test_search_rejects_non_integer_node_count(bad):
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        search_counterexample("yao", 1, n_nodes=bad, budget=5)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "10", None])
+def test_search_rejects_non_integer_budget(bad):
+    with pytest.raises(ValueError, match="trial budget must be an integer"):
+        search_counterexample("yao", 1, budget=bad)
+
+
+# ---------------------------------------------------------------------------
+# the speculative batches against the one-trial-at-a-time loop
+
+
+def reference_points(rng, n):
+    """The search's point sampler: n distinct uniform draws, a duplicate
+    drawn again."""
+    points, seen = [], set()
+    while len(points) < n:
+        xy = (rng.random(), rng.random())
+        if xy in seen:
+            continue
+        seen.add(xy)
+        points.append(Point(*xy))
+    return points
+
+
+def trial_node_sets(seed, n_nodes=None):
+    """The node sets of trials 1, 2, ... in the order the search draws them."""
+    rng = random.Random(seed)
+    while True:
+        n = n_nodes if n_nodes is not None else rng.randint(4, 8)
+        yield NodeSet(zip((f"p{i}" for i in range(n)), reference_points(rng, n)))
+
+
+def reference_search(family, k, n_nodes=None, seed=0, budget=1_000_000):
+    """The search one trial at a time: build, then has_void, until the
+    first graph with a void or the end of the budget."""
+    for trial, nodes in zip(range(1, budget + 1), trial_node_sets(seed, n_nodes)):
+        if has_void(build(nodes, family, k)):
+            return trial, nodes
+    return budget, None
+
+
+def outcome(result):
+    return result.trials, result.nodes
+
+
+@pytest.mark.parametrize("n_nodes", [None, 2, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_search_matches_reference(family, k, n_nodes):
+    # budgets 7 and 300 end inside a batch (trials 4..7, then 256..300).
+    # The reference at budget 300 runs up to 300 per-graph trials; where
+    # it seldom stops early (two nodes never have a void, and past k = 3
+    # voids are rare) it runs on the first 6 seeds only.
+    seldom = n_nodes == 2 or k > 3
+    for seed in range(30):
+        budgets = (1, 2, 3, 7) if seldom and seed >= 6 else (1, 2, 3, 7, 300)
+        # a first-hit loop run to the largest budget gives every smaller one
+        trials, nodes = reference_search(family, k, n_nodes, seed, budgets[-1])
+        for budget in budgets:
+            want = (trials, nodes) if nodes is not None and trials <= budget else (budget, None)
+            got = search_counterexample(family, k, n_nodes, seed, budget)
+            assert outcome(got) == want, (seed, budget)
+
+
+@pytest.mark.parametrize("seed, voids, sizes", [
+    (77, (2, 3), (7, 7)),  # the whole first batch, one size
+    (16, (5, 7), (7, 6, 8, 5)),
+    # trial 7's size group starts at trial 4 and is scanned before trial 5's
+    (181, (5, 7), (6, 8, 8, 6)),
+    (6, (11, 12), (7, 5, 4, 7, 8, 7, 6, 4)),
+    (14, (10, 13), (8, 4, 6, 8, 7, 8, 4, 4)),
+])
+def test_search_reports_first_of_two_voids_in_one_batch(seed, voids, sizes):
+    # batches hold trials 2..3, 4..7 and 8..15
+    lo = len(sizes)
+    node_sets = trial_node_sets(seed)
+    drawn = [next(node_sets) for _ in range(2 * lo - 1)]
+    found = [t for t, ns in enumerate(drawn, 1) if has_void(build(ns, "yao", 3))]
+    assert tuple(found) == voids
+    assert tuple(len(ns) for ns in drawn[lo - 1:]) == sizes
+    result = search_counterexample("yao", 3, seed=seed, budget=100)
+    assert outcome(result) == (voids[0], drawn[voids[0] - 1])
+
+
+@pytest.mark.parametrize("block, sizes", [
+    (64, [1] * 19),  # one 8-node set per block
+    (3 * 64, [2, 3, 3, 3, 3, 3, 2]),
+    (corpus._BLOCK_PAIRS, [2, 4, 8, 5]),  # doubling, the last batch cut by the budget
+])
+def test_search_batches_capped_by_the_block_size(monkeypatch, block, sizes):
+    seen, real = [], corpus._first_void
+
+    def first_void(batch, family, k):
+        seen.append(len(batch))
+        return real(batch, family, k)
+
+    monkeypatch.setattr(corpus, "_BLOCK_PAIRS", block)
+    monkeypatch.setattr(corpus, "_first_void", first_void)
+    assert reference_search("yao", 5, seed=1, budget=20) == (20, None)
+    assert outcome(search_counterexample("yao", 5, seed=1, budget=20)) == (20, None)
+    assert seen == sizes
+    for seed in range(6):
+        for family, k in (("yao", 4), ("theta", 3)):
+            want = reference_search(family, k, seed=seed, budget=20)
+            assert outcome(search_counterexample(family, k, seed=seed, budget=20)) == want
+
+
+def test_search_on_large_node_sets_uses_one_trial_batches():
+    # 200 nodes: one set exceeds a construction block, so batches hold one trial
+    want = reference_search("theta", 5, 200, seed=3, budget=3)
+    assert outcome(search_counterexample("theta", 5, 200, seed=3, budget=3)) == want
+
+
+def test_first_trial_verdict_is_confirmed_by_the_scan(monkeypatch):
+    assert reference_search("yao", 5, seed=1, budget=1) == (1, None)
+    monkeypatch.setattr(corpus, "has_void", lambda g: True)
+    with pytest.raises(RuntimeError, match="not confirmed"):
+        search_counterexample("yao", 5, seed=1, budget=1)
+
+
+def test_batch_verdict_is_confirmed_by_the_scan(monkeypatch):
+    assert reference_search("yao", 5, seed=1, budget=3) == (3, None)
+    monkeypatch.setattr(corpus, "_first_void", lambda batch, family, k: 0)
+    with pytest.raises(RuntimeError, match="trial 2 is not confirmed"):
+        search_counterexample("yao", 5, seed=1, budget=3)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conegraph.construct import build_directed_yao, undirect
+from conegraph.construct import build_directed_theta, build_directed_yao, undirect
 from conegraph.corpus import random_nodeset
 from conegraph.geometry import Point
 from conegraph.model import (
     GeometricGraph,
     NodeSet,
+    _check_edges,
     distance,
     graph_from_dict,
     graph_from_json,
@@ -246,6 +247,21 @@ def test_builder_keys_get_the_same_check():
         GeometricGraph._from_keys("yao", 1, True, ns, np.array([1, 2]))
 
 
+def test_batch_keys_get_the_same_check():
+    # two graphs on 3 nodes: key (g*3 + u)*3 + v, so graph 1's rows are 3..5
+    valid = [1, 2, 3, 5, 10, 11, 12, 15]
+    _check_edges(np.array(valid), 3, 2, True, graphs=2)
+    for keys, message in (([1, 2, 13], "self-loop at node 4"),
+                          ([1, 2, 17], "self-loop at node 5"),
+                          ([1, 2, 18], "edge (6, 0) references a missing node"),
+                          ([1, 11, 10], "edges must be sorted")):
+        with pytest.raises(ValueError) as exc:
+            _check_edges(np.array(keys), 3, 2, True, graphs=2)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="out-degree exceeds k=1"):
+        _check_edges(np.array([1, 5, 10, 11]), 3, 1, True, graphs=2)
+
+
 def test_edges_are_stored_as_flat_keys_and_csr():
     ns = nset((0, 0), (1, 0), (0, 1), (5, 5))
     directed = GeometricGraph("yao", 2, True, ns, ((0, 1), (0, 2), (2, 0)))
@@ -346,6 +362,27 @@ def test_graphs_equal_rejects_different_node_sets():
     g2 = undirect(build_directed_yao(random_nodeset(5, seed=2), 3))
     with pytest.raises(ValueError, match="different node sets"):
         graphs_equal(g1, g2)
+
+
+def test_graphs_equal_undirects_directed_graphs():
+    ns = random_nodeset(15, seed=4)
+    for family in ("yao", "theta"):
+        for k in (1, 3, 6):
+            directed = build_directed_yao(ns, k) if family == "yao" else build_directed_theta(ns, k)
+            undirected = undirect(directed)
+            assert graphs_equal(directed, undirected) and graphs_equal(undirected, directed)
+            assert graphs_equal(directed, directed) and graphs_equal(undirected, undirected)
+            other = undirect(build_directed_yao(ns, k + 1))
+            assert graphs_equal(directed, other) == graphs_equal(undirected, other)
+            assert graphs_equal(directed, other) == (set(undirected.edges) == set(other.edges))
+    # one edge in both directions, or in one, is the same undirected edge
+    two = random_nodeset(3, seed=5)
+    both = GeometricGraph("yao", 2, True, two, ((0, 1), (1, 0)))
+    one = GeometricGraph("yao", 2, True, two, ((1, 0),))
+    assert graphs_equal(both, one)
+    assert graphs_equal(one, GeometricGraph("theta", 5, False, two, ((0, 1),)))
+    assert not graphs_equal(one, GeometricGraph("yao", 2, False, two, ((0, 2),)))
+    assert not graphs_equal(one, GeometricGraph("yao", 2, False, two, ()))
 
 
 def test_yao_6_differs_from_yao_7_on_random_set():

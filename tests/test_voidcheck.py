@@ -3,13 +3,14 @@ geometry checks."""
 
 import math
 
+import numpy as np
 import pytest
 
 from conegraph import voidcheck
 from conegraph.construct import build, build_directed_yao
 from conegraph.corpus import load_corpus, random_nodeset
 from conegraph.geometry import TAU, Point, angle_at, bisector_projection, cone_of
-from conegraph.model import GeometricGraph, NodeSet, VoidWitness, distance
+from conegraph.model import GeometricGraph, NodeSet, VoidWitness, _csr, distance
 from conegraph.routing import greedy_route
 from conegraph.voidcheck import (
     VoidReport,
@@ -140,6 +141,49 @@ def test_has_void_agrees_with_full_scan(monkeypatch):
         for g, witnesses in zip(graphs, expected):
             assert list(check_void_free(g).witnesses) == witnesses
             assert has_void(g) == bool(witnesses)
+
+
+def batch_witnesses(graphs):
+    """Run the pair scan once over a batch of undirected graphs on n nodes
+    each; returns every graph's witnesses, mapped back to its own nodes."""
+    n = len(graphs[0].nodes)
+    dist = np.array([g.dist_matrix for g in graphs])
+    keys = np.concatenate([g.keys + b * n * n for b, g in enumerate(graphs)])
+    found = [[] for _ in graphs]
+    for r0, mask, d, best in voidcheck._void_witnesses(dist, *_csr(keys, n, len(graphs))):
+        for r, v in zip(*mask.nonzero()):
+            found[(r0 + r) // n].append(VoidWitness((r0 + r) % n, v, d[r, v], best[r, v]))
+    return found
+
+
+def test_batch_scan_matches_per_graph(monkeypatch):
+    lattice = NodeSet((f"g{x}_{y}", Point(x, y)) for x in range(12) for y in range(12))
+    rays = NodeSet([("o", Point(0, 0))] + [
+        (f"r{r}{i}", Point(r * dx, r * dy)) for r in (1, 2)
+        for i, (dx, dy) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1),
+                                      (0, -1), (-1, -1), (-1, 0), (-1, 1)))])
+    ns = random_nodeset(12, seed=21)
+    batches = [
+        [build(lattice, family, k) for family in ("yao", "theta") for k in (1, 4, 6, 10**18)],
+        [build(rays, family, k) for family in ("yao", "theta") for k in (1, 2, 3, 5, 8, 10**18)],
+        [build(random_nodeset(2, seed=s), "yao", 1) for s in range(3)]
+        + [GeometricGraph("yao", 2, False, random_nodeset(2, seed=9), ())],
+        # a star, an isolated-node path and an empty graph: most slots are padding
+        [GeometricGraph("yao", 12, False, ns, tuple((0, j) for j in range(1, 12))),
+         GeometricGraph("yao", 2, False, ns, ((1, 2), (2, 3), (3, 5), (5, 9))),
+         GeometricGraph("yao", 2, False, ns, ()),
+         build(ns, "theta", 2)],
+        [build(random_nodeset(6, seed=s), "yao" if s % 2 else "theta", 1 + s % 5)
+         for s in range(100)],
+    ]
+    expected = [[list(check_void_free(g).witnesses) for g in batch] for batch in batches]
+    assert all(any(w) and not all(w) for w in expected[:2])
+    # the default, one row per block, and blocks of a few rows
+    for block in (voidcheck._SCAN_BLOCK, 1, 500):
+        monkeypatch.setattr(voidcheck, "_SCAN_BLOCK", block)
+        for batch, want in zip(batches, expected):
+            assert batch_witnesses(batch) == want
+            assert [bool(w) for w in want] == [has_void(g) for g in batch]
 
 
 def test_routing_oracle_agrees_on_random_graphs():
