@@ -133,8 +133,6 @@ def _row_blocks(sets: int, n: int, size: int) -> list[tuple[int, int, int, int]]
     """Blocks (g0, g1, u0, u1), source rows u0..u1-1 of node sets g0..g1-1
     of `sets` sets of n nodes, each holding about `size` ordered pairs: as
     many whole sets as fit, or else a run of one set's rows."""
-    if sets * n * n <= size:  # the common case, a small graph or batch
-        return [(0, sets, 0, n)]
     if n * n <= size:
         step = size // (n * n)
         return [(g0, min(g0 + step, sets), 0, n) for g0 in range(0, sets, step)]

@@ -222,7 +222,7 @@ def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:
         x, y = xy[:, 0::2], xy[:, 1::2]
         directed = _build_directed(x, y, k, family)
         _check_edges(directed, n, k, True, graphs=len(at))
-        csr = _csr(_symmetric_keys(directed, n, len(at)), n, len(at))
+        csr = _csr(_symmetric_keys(directed, n), n, len(at))
         block = next(_void_witnesses(_distances(x, y), *csr), None)
         if block is not None:  # its first witness is in the first graph with a void
             r0, mask = block[:2]

@@ -231,9 +231,8 @@ def _edges_valid(keys, n: int, k: int, directed: bool, pairs, graphs: int = 1) -
     else:
         bounded = np.count_nonzero(pairs[:, 0] < pairs[:, 1]) == m
     # a graph's own key u*n + v is a self-loop iff it is a multiple of n + 1
-    own = keys % (n * n) if graphs > 1 else keys
     return bool(in_range and bounded and np.count_nonzero(keys[1:] > keys[:-1]) == m - 1
-                and np.count_nonzero(own % (n + 1)) == m)
+                and np.count_nonzero(keys % (n * n) % (n + 1)) == m)
 
 
 def _check_edges(keys, n: int, k: int, directed: bool, edges=None, pairs=None,
@@ -310,13 +309,12 @@ def graphs_equal(g1: GeometricGraph, g2: GeometricGraph) -> bool:
     return np.array_equal(k1, k2)
 
 
-def _symmetric_keys(keys, n: int, graphs: int = 1) -> np.ndarray:
+def _symmetric_keys(keys, n: int) -> np.ndarray:
     """Sorted directed keys of one graph or of a batch of graphs on n nodes
     each, merged with their reverses, each key once: the undirected keys.
     Key (g*n + u)*n + v reverses to (g*n + v)*n + u."""
     rows, v = np.divmod(keys, n)
-    u = rows % n if graphs > 1 else rows
-    keys = np.concatenate((keys, keys + (v - u) * (n - 1)))
+    keys = np.concatenate((keys, keys + (v - rows % n) * (n - 1)))
     keys.sort()
     keep = np.empty(keys.size, bool)
     keep[:1] = True
@@ -329,7 +327,7 @@ def _csr(keys, n: int, graphs: int) -> tuple[np.ndarray, np.ndarray]:
     graphs on n nodes each: the targets of source row g*n + u, as rows
     g*n + v, are indices[indptr[g*n + u]:indptr[g*n + u + 1]]."""
     indptr = keys.searchsorted(np.arange(0, graphs * n * n + 1, n))
-    return indptr, keys % n if graphs == 1 else keys // (n * n) * n + keys % n
+    return indptr, keys // (n * n) * n + keys % n
 
 
 def _distances(x, y) -> np.ndarray:

@@ -14,10 +14,11 @@ in (g, u, v) order. check_void_free and has_void scan one graph (B = 1);
 the counterexample search scans many small graphs at once and reads the
 first graph with a void from the first witness.
 check_by_routing is an independent oracle exploiting the equivalence
-with greedy forwarding succeeding between all ordered pairs. It
-tabulates every node's next hop toward every target, finds where all
-n(n-1) routes end by pointer doubling on that table, and replays
-greedy_route once per stuck (node, target) pair.
+with greedy forwarding succeeding between all ordered pairs. Every node
+is also a source, so a packet gets stuck at u on its way to t on some
+route exactly when greedy forwarding's first step from u toward t
+fails. It marks those pairs one node at a time and replays greedy_route
+once per marked pair.
 
 The cone-relay checks also run over blocks of source rows, with the
 construction kernel's cone formula, so no step makes a per-pair Python
@@ -122,45 +123,29 @@ def _void_witnesses(dist, indptr, indices):
 
 
 def check_by_routing(g: GeometricGraph) -> VoidReport:
-    """Independent void oracle: resolve greedy forwarding between every
-    ordered pair and report where packets get stuck.
+    """Independent void oracle: report every (node, target) pair at which
+    greedy forwarding between some ordered pair of nodes gets stuck.
 
-    hop[u, t] is greedy_route's next hop from u toward t, or u itself
-    when no neighbor is strictly closer to t. Pointer doubling over hop
-    gives every route's end node in O(log n) array steps; each distinct
-    (end, t) with end != t is a witness, replayed once through
-    greedy_route for its neighbor distance. The void_free verdict always
-    agrees with check_void_free. Raises RuntimeError if a route never
-    settles or a replay is not stuck at its source, both unreachable
-    because distances to the target strictly decrease along a route.
+    Every node is itself a source, so these are exactly the pairs (u, t),
+    u != t, at which greedy forwarding's first step from u fails: no
+    neighbor of u is strictly closer to t than u. One numpy step per
+    node marks them, reading its neighbors from the CSR rather than
+    through the pair scan's kernel, which this checks; each is replayed
+    once through greedy_route for its neighbor distance. The report
+    equals check_void_free's. Raises RuntimeError if a replay is not
+    stuck at its source (unreachable).
     """
     if g.directed:
         raise ValueError("void-freeness is defined on the undirected graph")
     n = len(g.nodes)
-    dist = g.dist_matrix  # symmetric: dist[t, w] is w's distance to t
-    targets = np.arange(n)
-    hop = np.empty((n, n), dtype=np.intp)
+    dist = g.dist_matrix  # symmetric: dist[w, t] is w's distance to t
     indptr, indices = g.csr
     ptr = indptr.tolist()
+    stuck = np.empty((n, n), dtype=bool)
     for u in range(n):
-        hop[u] = u
-        nbrs = indices[ptr[u]:ptr[u + 1]]
-        if nbrs.size:
-            cols = dist[:, nbrs]
-            first = cols.argmin(axis=1)  # sorted neighbors: ties go to the smallest index
-            moves = cols[targets, first] < dist[:, u]
-            hop[u, moves] = nbrs[first[moves]]
-    end = hop
-    for _ in range(n.bit_length() + 1):
-        nxt = end[end, targets]
-        if np.array_equal(nxt, end):
-            break
-        end = nxt
-    if not np.array_equal(hop[end, targets], end):
-        raise RuntimeError("greedy route revisited a node")
-    stuck = np.zeros((n, n), dtype=bool)
-    stuck[end, targets] = True
-    stuck[targets, targets] = False
+        best = dist.take(indices[ptr[u]:ptr[u + 1]], axis=0).min(axis=0, initial=np.inf)
+        np.greater_equal(best, dist[u], out=stuck[u])
+    np.fill_diagonal(stuck, False)
     witnesses = []
     us, vs = np.nonzero(stuck)
     for u, v, d_uv in zip(us.tolist(), vs.tolist(), dist[us, vs].tolist()):

@@ -28,6 +28,17 @@ def test_route_collinear_chain():
     assert r.delivered and r.path == (0, 1, 2)
 
 
+def test_step_ties_go_to_the_smallest_index():
+    # a and b are both exactly sqrt(2) from t and closer to t than u is
+    ns = NodeSet([("u", Point(0, 0)), ("a", Point(1, 1)), ("b", Point(1, -1)),
+                  ("t", Point(2, 0))])
+    g = GeometricGraph("yao", 2, False, ns, ((0, 1), (0, 2), (1, 3), (2, 3)))
+    assert g.dist(1, 3) == g.dist(2, 3) < g.dist(0, 3)
+    assert greedy_step(g, 0, 3) == 1
+    r = greedy_route(g, 0, 3)
+    assert r.delivered and r.path == (0, 1, 3)
+
+
 def test_route_source_equals_target():
     r = greedy_route(chain3(), 1, 1)
     assert r.delivered and r.path == (1,)

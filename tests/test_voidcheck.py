@@ -193,17 +193,12 @@ def test_routing_oracle_agrees_on_random_graphs():
         n = 2 + seed % 14
         ns = random_nodeset(n, seed=1000 + seed)
         g = build(ns, "yao" if seed % 2 else "theta", k)
-        scan = check_void_free(g)
-        routed = check_by_routing(g)
-        assert scan.void_free == routed.void_free
-        scan_pairs = {(w.u, w.v) for w in scan.witnesses}
-        routed_pairs = {(w.u, w.v) for w in routed.witnesses}
-        assert routed_pairs <= scan_pairs
+        assert check_by_routing(g) == check_void_free(g)
 
 
 def reference_routing_report(g):
     """Greedy-route every ordered pair and collect the (stuck node, target)
-    pairs: the reference for the next-hop table behind check_by_routing."""
+    pairs: the all-pairs reference for check_by_routing's first-step test."""
     n = len(g.nodes)
     stuck = {}
     for s in range(n):

@@ -23,6 +23,7 @@ from conegraph.construct import build_directed_theta, build_directed_yao, undire
 from conegraph.corpus import V2_RAY_TOL, CorpusEntry, validate_v2_constraints
 from conegraph.geometry import TAU, Point
 from conegraph.model import NodeSet, distance, graphs_equal
+from conegraph.voidcheck import check_void_free
 
 MARGIN = 0.05  # absolute slack required on witness / circle inequalities
 
@@ -43,11 +44,12 @@ def offset(p: Point, dist: float, deg: float) -> Point:
 
 
 def witness_margin(graph, u: int, v: int) -> float:
-    """min over u's neighbors of d(., v) minus d(u, v); >= 0 iff (u, v)
-    is a void pair."""
-    duv = graph.dist(u, v)
-    best = min((graph.dist(w, v) for w in graph.neighbors(u)), default=math.inf)
-    return best - duv
+    """min over u's neighbors of d(., v) minus d(u, v), from the pair
+    scan's witness (u, v); -inf when (u, v) is not a void pair."""
+    for w in check_void_free(graph).witnesses:
+        if (w.u, w.v) == (u, v):
+            return w.min_neighbor_distance - w.d_uv
+    return -math.inf
 
 
 # ---------------------------------------------------------------------------
