@@ -22,9 +22,10 @@ come out as the flat keys (g*n + u)*n + v. The builders here pass one
 set (B = 1), whose keys are the graph's keys u*n + v; the counterexample
 search passes many small sets at once.
 
-A directed graph holds its edges as the sorted flat keys u*n + v that
-the kernel picks, and undirect merges them with their reverses, so no
-step builds an edge tuple.
+A directed graph holds the kernel's picks as sorted flat keys u*n + v,
+and undirect merges them with their reverses; no step builds an edge
+tuple, and neither is checked again: the kernel picks at most one node
+per (source, cone) run, drops the self pair and sorts its picks.
 """
 
 import numpy as np
@@ -53,15 +54,13 @@ _BLOCK_PAIRS = 1 << 14
 def build_directed_yao(nodes: NodeSet, k: int) -> GeometricGraph:
     """Directed Yao graph: each node points at its Euclidean-closest
     node within each of its k cones."""
-    _check_k(k)
-    return _directed_graph(nodes, k, YAO)
+    return _directed_graph(nodes, _check_k(k), YAO)
 
 
 def build_directed_theta(nodes: NodeSet, k: int) -> GeometricGraph:
     """Directed Theta graph: as Yao, but "closest" means the smallest
     projection distance onto the cone's bisector."""
-    _check_k(k)
-    return _directed_graph(nodes, k, THETA)
+    return _directed_graph(nodes, _check_k(k), THETA)
 
 
 def undirect(g: GeometricGraph) -> GeometricGraph:

@@ -10,7 +10,6 @@ every run, so the checkers stay the ground truth.
 """
 
 import importlib.resources
-import operator
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -18,10 +17,10 @@ from itertools import chain
 import numpy as np
 
 from .construct import _BLOCK_PAIRS, _build_directed, build
-from .geometry import TAU, Point, clockwise_angle_from_north, cone_of
+from .geometry import TAU, Point, _as_int, clockwise_angle_from_north, cone_of
 from .model import (
-    THETA, YAO, FAMILIES, NodeSet, _check_edges, _csr, _distances, _symmetric_keys, distance,
-    graphs_equal, node_set_from_json,
+    THETA, YAO, FAMILIES, NodeSet, _csr, _distances, _symmetric_keys, distance, graphs_equal,
+    node_set_from_json,
 )
 from .voidcheck import _void_witnesses, check_void_free, has_void
 
@@ -174,14 +173,20 @@ def search_counterexample(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    k = _integer(k, "k")
+    k, given = _as_int(k), k
+    if k is None:
+        raise ValueError(f"k must be an integer, got {given!r}")
     if not 1 <= k <= 5:
         raise ValueError("k outside 1..5: theorem guarantees no counterexample")
     if n_nodes is not None:
-        n_nodes = _integer(n_nodes, "node count")
+        n_nodes, given = _as_int(n_nodes), n_nodes
+        if n_nodes is None:
+            raise ValueError(f"node count must be an integer, got {given!r}")
         if n_nodes < 2:
             raise ValueError(f"need at least two nodes, got {n_nodes}")
-    budget = _integer(budget, "trial budget")
+    budget, given = _as_int(budget), budget
+    if budget is None:
+        raise ValueError(f"trial budget must be an integer, got {given!r}")
     if budget < 1:
         raise ValueError(f"trial budget must be at least 1, got {budget}")
     rng = random.Random(seed)
@@ -221,7 +226,6 @@ def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:
         xy = np.array([batch[i] for i in at])
         x, y = xy[:, 0::2], xy[:, 1::2]
         directed = _build_directed(x, y, k, family)
-        _check_edges(directed, n, k, True, graphs=len(at))
         csr = _csr(_symmetric_keys(directed, n), n, len(at))
         block = next(_void_witnesses(_distances(x, y), *csr), None)
         if block is not None:  # its first witness is in the first graph with a void
@@ -237,16 +241,6 @@ def _confirmed(g, trials: int) -> SearchResult:
     if check_void_free(g).void_free:
         raise RuntimeError(f"the void found at trial {trials} is not confirmed by the pair scan")
     return SearchResult(nodes=g.nodes, trials=trials)
-
-
-def _integer(value, what: str) -> int:
-    """value as a plain int: any integer, numpy's included, but a bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _sample_points(rng: random.Random, n: int) -> list[float]:

@@ -11,6 +11,7 @@ a cone boundary belongs to whatever cone the formula yields.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 TAU = math.tau
@@ -53,7 +54,7 @@ def cone_of(origin: Point, p: Point, k: int) -> int:
     clockwise from north; a point exactly on a cone's leading ray
     belongs to the previous cone (the north ray belongs to cone k).
     """
-    _check_k(k)
+    k = _check_k(k)
     angle = clockwise_angle_from_north(origin, p)
     # angle <= 2pi, but the product may overshoot k by rounding; clamp.
     i = math.ceil(angle * k / TAU)
@@ -63,8 +64,10 @@ def cone_of(origin: Point, p: Point, k: int) -> int:
 def bisector_direction(i: int, k: int) -> tuple[float, float]:
     """Unit vector along the bisector of cone i, at clockwise angle
     (i - 1/2)*2pi/k from north."""
-    _check_cone_index(i, k)
-    return _bisector(i, k)
+    k, j = _check_k(k), _as_int(i)
+    if j is None or not 1 <= j <= k:
+        raise ValueError(f"cone index must be in 1..{k}, got {i!r}")
+    return _bisector(j, k)
 
 
 def bisector_projection(origin: Point, p: Point, i: int, k: int) -> float:
@@ -73,12 +76,11 @@ def bisector_projection(origin: Point, p: Point, i: int, k: int) -> float:
     Strictly positive for points inside cone i when k >= 3 (the cone
     half-angle is below pi/2); may be zero or negative for k <= 2.
     """
-    _check_cone_index(i, k)
+    bx, by = bisector_direction(i, k)
     dx = p.x - origin.x
     dy = p.y - origin.y
     if dx == 0.0 and dy == 0.0:
         raise ValueError("degenerate direction: points coincide")
-    bx, by = bisector_direction(i, k)
     return dx * bx + dy * by
 
 
@@ -102,12 +104,17 @@ def _bisector(i, k: int) -> tuple[float, float]:
     return (math.sin(theta), math.cos(theta))
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+def _as_int(value) -> int | None:
+    """value as a plain int if it is an integer, numpy's included, and not
+    a bool; None otherwise."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_k(k) -> int:
+    i = _as_int(k)
+    if i is None or i < 1:
         raise ValueError(f"cone count must be an integer >= 1, got {k!r}")
-
-
-def _check_cone_index(i: int, k: int) -> None:
-    _check_k(k)
-    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= k:
-        raise ValueError(f"cone index must be in 1..{k}, got {i!r}")
+    return i

@@ -6,13 +6,12 @@ import io
 import json
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import Point, _check_k
+from .geometry import Point, _as_int, _check_k
 
 YAO = "yao"
 THETA = "theta"
@@ -84,36 +83,33 @@ class GeometricGraph:
 
     Directed edges are (source, target) pairs, at most one per source
     cone, so out-degrees never exceed k; undirected ones are listed once
-    as (i, j) with i < j. The constructor takes them sorted and checks
-    them in one vectorised pass (see _check_edges). They are stored as
-    `keys`, one sorted intp array of flat keys u*n + v: one per directed
-    edge, or both directions of every undirected edge, which makes the
-    keys the graph's CSR adjacency (`csr`). The tuple views `edges`,
-    `edge_set` and `adjacency` are built on first use only. Instances
-    are immutable; derived views are cached.
+    as (i, j) with i < j. The constructor checks user edges, given
+    sorted, in one pass (_check_edges); the builders' keys are valid by
+    construction (_from_keys). They are stored as `keys`, one sorted
+    intp array of flat keys u*n + v: one per directed edge, or both
+    directions of every undirected edge, which makes the keys the
+    graph's CSR adjacency (`csr`). The tuple views `edges`, `edge_set`
+    and `adjacency` are built on first use only. Instances are
+    immutable; derived views are cached.
     """
 
     def __init__(self, family, k, directed, nodes, edges, warning=None):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        _check_k(k)
+        k = _check_k(k)
         n = len(nodes)
-        pairs = _edge_pairs(edges, n)
-        keys = pairs[:, 0] * n + pairs[:, 1]
-        _check_edges(keys, n, k, directed, edges, pairs)
+        keys = _check_edges(edges, _edge_pairs(edges, n), n, k, directed)
         if not directed:
-            keys = np.sort(np.concatenate((keys, pairs[:, 1] * n + pairs[:, 0])))
+            keys = _symmetric_keys(keys, n)
         keys.flags.writeable = False
         self.__dict__.update(family=family, k=k, directed=directed, nodes=nodes,
                              keys=keys, warning=warning)
 
     @classmethod
     def _from_keys(cls, family, k, directed, nodes, keys, warning=None):
-        """The builders' constructor, over sorted flat keys. Directed keys
-        get the constructor's check; undirected ones are trusted, because
-        undirect derives them from a checked directed graph."""
-        if directed:
-            _check_edges(keys, len(nodes), k, True)
+        """The builders' constructor, over sorted flat keys, not checked: the
+        kernel picks at most one node per (source, cone) run, drops the self
+        pair and sorts its picks; undirect adds their reverses, each once."""
         keys.flags.writeable = False
         g = cls.__new__(cls)
         g.__dict__.update(family=family, k=k, directed=directed, nodes=nodes,
@@ -186,13 +182,9 @@ class GeometricGraph:
         return self._dist_rows[self._check_node(u)][self._check_node(v)]
 
     def _check_node(self, u) -> int:
-        """u as a plain int; any integer but a bool is accepted, numpy's
-        included, and anything else or out of range raises ValueError."""
-        try:
-            i = operator.index(u)
-        except TypeError:
-            i = None
-        if i is None or isinstance(u, bool) or not 0 <= i < len(self.nodes):
+        """u as a plain int, if it is an integer (see _as_int) naming a node."""
+        i = _as_int(u)
+        if i is None or not 0 <= i < len(self.nodes):
             raise ValueError(f"unknown node index {u!r}")
         return i
 
@@ -214,56 +206,37 @@ def _edge_pairs(edges, n: int) -> np.ndarray:
     return pairs.astype(np.intp, copy=False)
 
 
-def _edges_valid(keys, n: int, k: int, directed: bool, pairs, graphs: int = 1) -> bool:
-    """_check_edges' rules over whole arrays, in a few counts."""
-    m = keys.size
-    if m == 0:
-        return True
-    if pairs is None:
-        # given the order count below
-        in_range = 0 <= keys[0] and keys[-1] < graphs * n * n
-    else:
-        in_range = np.count_nonzero(pairs.view(np.uintp) < n) == 2 * m
-    if directed:
-        rows = keys // n
-        # sorted rows: u has more than k edges iff some row repeats k apart
-        bounded = k >= m or np.count_nonzero(rows[k:] > rows[:-k]) == m - k
-    else:
-        bounded = np.count_nonzero(pairs[:, 0] < pairs[:, 1]) == m
-    # a graph's own key u*n + v is a self-loop iff it is a multiple of n + 1
-    return bool(in_range and bounded and np.count_nonzero(keys[1:] > keys[:-1]) == m - 1
-                and np.count_nonzero(keys % (n * n) % (n + 1)) == m)
+def _check_edges(edges, pairs, n: int, k: int, directed: bool) -> np.ndarray:
+    """The flat keys u*n + v of the user's edges, whose endpoints are the
+    rows of pairs; raises the message of the first faulty edge, if any.
 
-
-def _check_edges(keys, n: int, k: int, directed: bool, edges=None, pairs=None,
-                 graphs: int = 1) -> None:
-    """Raise the message of the first faulty edge, if any.
-
-    keys are the flat keys in the given order; edges and pairs are the
-    user's edges and their endpoint array, or None for a builder's keys.
-    A builder's keys may cover a batch of graphs on n nodes each, as
-    keys (g*n + u)*n + v; a message then names u by its row g*n + u.
     Each edge is tested for, in order: an endpoint out of range, a
     self-loop, not following its predecessor in strictly increasing
     order, and an out-degree above k (directed) or i > j (undirected).
-    """
-    if _edges_valid(keys, n, k, directed, pairs, graphs):
-        return
-    # every prefix of a valid edge list is valid: bisect for the shortest faulty one
-    i = bisect_left(range(1, keys.size + 1), True, key=lambda j: not _edges_valid(
-        keys[:j], n, k, directed, None if pairs is None else pairs[:j], graphs))
-    if edges is None:
-        edges = [divmod(int(key), n) for key in keys[max(i - 1, 0):i + 1]]
-        i = min(i, 1)
+    While every earlier edge is sound, each test needs only the edge and
+    its predecessors, so one mask over all edges finds the first fault."""
+    a, b = pairs.T
+    keys = a * n + b
+    missing = (pairs.view(np.uintp) >= n).any(axis=1)
+    loop = a == b
+    unordered = np.zeros_like(loop)
+    unordered[1:] = keys[1:] <= keys[:-1]
+    if directed:  # sorted sources: a source's (k+1)-th edge repeats it k edges back
+        excess = np.zeros_like(loop)
+        excess[k:] = a[k:] == a[:-k]
+    else:
+        excess = a > b
+    fault = missing | loop | unordered | excess
+    if not fault.any():
+        return keys
+    i = int(fault.argmax())
     e = edges[i]
-    a, b = e
-    if not (0 <= a < graphs * n and 0 <= b < n):
+    if missing[i]:
         raise ValueError(f"edge {e} references a missing node")
-    if a % n == b:
-        raise ValueError(f"self-loop at node {a}")
-    if i and tuple(e) <= tuple(edges[i - 1]):
-        raise ValueError(f"duplicate edge {e}" if tuple(e) == tuple(edges[i - 1])
-                         else "edges must be sorted")
+    if loop[i]:
+        raise ValueError(f"self-loop at node {e[0]}")
+    if unordered[i]:
+        raise ValueError("edges must be sorted" if keys[i] < keys[i - 1] else f"duplicate edge {e}")
     if directed:
         raise ValueError(f"out-degree exceeds k={k}")
     raise ValueError(f"undirected edge {e} not normalized as (i, j) with i < j")
@@ -398,7 +371,11 @@ def graph_from_dict(data: dict) -> GeometricGraph:
     integers and directed a JSON bool; nothing is coerced."""
     try:
         nodes = node_set_from_dict({"nodes": data["nodes"]})
-        edges = tuple(sorted((_json_int(a), _json_int(b)) for a, b in data["edges"]))
+        edges = [(a, b) for a, b in data["edges"]]
+        bad = [v for e in edges for v in e if _as_int(v) is None]
+        if bad:
+            raise ValueError(f"edge endpoint must be an integer, got {bad[0]!r}")
+        edges = tuple(sorted(edges))
         directed = data["directed"]
         if not isinstance(directed, bool):
             raise ValueError(f"directed must be true or false, got {directed!r}")
@@ -411,12 +388,6 @@ def graph_from_dict(data: dict) -> GeometricGraph:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph data: {exc}") from exc
-
-
-def _json_int(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"edge endpoint must be an integer, got {value!r}")
-    return value
 
 
 def graph_to_json(g: GeometricGraph) -> str:

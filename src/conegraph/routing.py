@@ -54,7 +54,7 @@ def _next_hop(g: GeometricGraph, u: int, t: int) -> tuple[float, int | None]:
     and that neighbor, or None when it is not strictly closer to t than u."""
     row = g._dist_rows[t]
     best, nxt = math.inf, None
-    for w in g.neighbors(u):
+    for w in g.adjacency[u]:  # u was checked by the caller
         if row[w] < best:  # strict: ties keep the smallest index
             best, nxt = row[w], w
     return best, (nxt if best < row[u] else None)

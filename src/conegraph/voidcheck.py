@@ -32,7 +32,7 @@ import numpy as np
 
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
-from .geometry import cone_of  # noqa: F401
+from .geometry import _check_k, cone_of  # noqa: F401
 from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness
 from .construct import (
     _BLOCK_PAIRS, _bisectors, _cones, _row_blocks, build_directed_theta,
@@ -199,6 +199,7 @@ def check_theta_cone_relay(nodes: NodeSet, k: int) -> list[str]:
 
 
 def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
+    k = _check_k(k)
     if k < 6:
         raise ValueError("cone angle exceeds pi/3 below k = 6")
     build_directed = build_directed_yao if family == YAO else build_directed_theta

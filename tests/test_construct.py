@@ -17,7 +17,7 @@ from conegraph.construct import (
 )
 from conegraph.corpus import random_nodeset
 from conegraph.geometry import Point, bisector_projection, cone_of
-from conegraph.model import GeometricGraph, NodeSet, distance, graphs_equal
+from conegraph.model import GeometricGraph, NodeSet, distance, graph_to_json, graphs_equal
 
 
 def rescan_pick(nodes, u, i, k, family):
@@ -160,7 +160,7 @@ def test_build_rejects_bad_family_and_k():
         build_directed_yao(ns, 0)
 
 
-@pytest.mark.parametrize("k", [0, -2, True, 2.5, "6"])
+@pytest.mark.parametrize("k", [0, -2, True, 2.5, "6", np.True_, np.int64(0), np.float64(6.0)])
 @pytest.mark.parametrize("n", [1, 5])
 def test_bad_k_raises_value_error(k, n):
     ns = random_nodeset(n, seed=42)
@@ -168,6 +168,18 @@ def test_bad_k_raises_value_error(k, n):
         for directed in (True, False):
             with pytest.raises(ValueError, match="cone count"):
                 build(ns, family, k, directed=directed)
+
+
+@pytest.mark.parametrize("k", [np.int64(6), np.int32(2), np.uint8(1)])
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_numpy_integer_k_builds_the_plain_int_graph(k, family):
+    ns = random_nodeset(12, seed=8)
+    builder = build_directed_yao if family == "yao" else build_directed_theta
+    assert builder(ns, k) == builder(ns, int(k)) and type(builder(ns, k).k) is int
+    for directed in (True, False):
+        g = build(ns, family, k, directed=directed)
+        assert type(g.k) is int
+        assert graph_to_json(g) == graph_to_json(build(ns, family, int(k), directed=directed))
 
 
 def test_single_node_graph_has_no_edges():
@@ -312,15 +324,14 @@ def batch_coordinates(node_sets):
 
 
 def assert_batch_matches_per_graph(node_sets, k, family):
-    """The kernel over a batch picks, set by set, the keys build_directed_*
-    picks for each set alone; batch keys are (g*n + u)*n + v."""
+    """The kernel over a batch picks exactly the keys build_directed_*
+    picks for each set alone, set after set, as (g*n + u)*n + v: no key
+    is stray, repeated or out of range."""
     n = len(node_sets[0])
     keys = _build_directed(*batch_coordinates(node_sets), k, family)
-    assert (np.diff(keys) > 0).all()
     builder = build_directed_yao if family == "yao" else build_directed_theta
-    for g, ns in enumerate(node_sets):
-        mine = keys[(keys >= g * n * n) & (keys < (g + 1) * n * n)] - g * n * n
-        assert mine.tolist() == builder(ns, k).keys.tolist(), (family, k, g)
+    want = np.concatenate([builder(ns, k).keys + g * n * n for g, ns in enumerate(node_sets)])
+    assert keys.tolist() == want.tolist(), (family, k)
 
 
 def turned(coords, quarter_turns):

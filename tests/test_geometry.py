@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,27 @@ def test_cone_of_rejects_bad_k():
         cone_of(ORIGIN, Point(1, 1), 0)
     with pytest.raises(ValueError):
         cone_of(ORIGIN, Point(1, 1), -3)
+
+
+@pytest.mark.parametrize("k", [np.int64(4), np.int32(4), np.uint8(4)])
+def test_numpy_integer_cone_counts_and_indices_are_plain_ints(k):
+    assert cone_of(ORIGIN, Point(-1, -1), k) == 3 and type(cone_of(ORIGIN, Point(-1, -1), k)) is int
+    for i in (np.int64(3), np.int32(3), 3):
+        assert bisector_direction(i, k) == bisector_direction(3, 4)
+        assert bisector_projection(ORIGIN, Point(-1, -2), i, k) == bisector_projection(
+            ORIGIN, Point(-1, -2), 3, 4)
+
+
+@pytest.mark.parametrize("bad", [np.True_, True, 2.5, "6", None, np.float64(4.0)])
+def test_non_integer_cone_counts_and_indices_are_rejected(bad):
+    with pytest.raises(ValueError, match=r"cone count must be an integer >= 1, got"):
+        cone_of(ORIGIN, Point(1, 1), bad)
+    with pytest.raises(ValueError, match=r"cone count must be an integer >= 1, got"):
+        bisector_direction(1, bad)
+    with pytest.raises(ValueError, match=r"cone index must be in 1\.\.4, got"):
+        bisector_direction(bad, 4)
+    with pytest.raises(ValueError, match=r"cone index must be in 1\.\.4, got"):
+        bisector_projection(ORIGIN, Point(1, 1), bad, np.int64(4))
 
 
 def test_boundary_rays_where_exactly_representable():

@@ -13,7 +13,6 @@ from conegraph.geometry import Point
 from conegraph.model import (
     GeometricGraph,
     NodeSet,
-    _check_edges,
     distance,
     graph_from_dict,
     graph_from_json,
@@ -233,35 +232,6 @@ def test_edge_check_agrees_with_the_per_edge_loop(edges, k, directed, presorted)
         assert str(exc.value) == want
 
 
-def test_builder_keys_get_the_same_check():
-    ns = nset((0, 0), (1, 0), (0, 1))
-    for keys, message in (((1, 4), "self-loop at node 1"),
-                          ((1, 1), "duplicate edge (0, 1)"),
-                          ((2, 1), "edges must be sorted"),
-                          ((1, 9), "edge (3, 0) references a missing node"),
-                          ((-1, 1), "edge (-1, 2) references a missing node")):
-        with pytest.raises(ValueError) as exc:
-            GeometricGraph._from_keys("yao", 2, True, ns, np.array(keys))
-        assert str(exc.value) == message
-    with pytest.raises(ValueError, match="out-degree exceeds k=1"):
-        GeometricGraph._from_keys("yao", 1, True, ns, np.array([1, 2]))
-
-
-def test_batch_keys_get_the_same_check():
-    # two graphs on 3 nodes: key (g*3 + u)*3 + v, so graph 1's rows are 3..5
-    valid = [1, 2, 3, 5, 10, 11, 12, 15]
-    _check_edges(np.array(valid), 3, 2, True, graphs=2)
-    for keys, message in (([1, 2, 13], "self-loop at node 4"),
-                          ([1, 2, 17], "self-loop at node 5"),
-                          ([1, 2, 18], "edge (6, 0) references a missing node"),
-                          ([1, 11, 10], "edges must be sorted")):
-        with pytest.raises(ValueError) as exc:
-            _check_edges(np.array(keys), 3, 2, True, graphs=2)
-        assert str(exc.value) == message
-    with pytest.raises(ValueError, match="out-degree exceeds k=1"):
-        _check_edges(np.array([1, 5, 10, 11]), 3, 1, True, graphs=2)
-
-
 def test_edges_are_stored_as_flat_keys_and_csr():
     ns = nset((0, 0), (1, 0), (0, 1), (5, 5))
     directed = GeometricGraph("yao", 2, True, ns, ((0, 1), (0, 2), (2, 0)))
@@ -329,6 +299,20 @@ def test_numpy_integer_indices_are_plain_ints():
     assert g.neighbors(np.intp(0)) == (1,)
     assert g.dist(np.int64(0), np.int32(2)) == 3.0
     assert type(g._check_node(np.uint8(2))) is int
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.int32(2)])
+def test_numpy_integer_k_is_stored_as_a_plain_int(k):
+    ns = nset((0, 0), (1, 0), (3, 0))
+    g = GeometricGraph("yao", k, True, ns, ((0, 1), (1, 2)))
+    assert type(g.k) is int
+    assert graph_to_json(g) == graph_to_json(GeometricGraph("yao", 2, True, ns, ((0, 1), (1, 2))))
+
+
+@pytest.mark.parametrize("k", [np.True_, True, 2.5, "6", np.int64(0)])
+def test_graph_rejects_non_integer_k(k):
+    with pytest.raises(ValueError, match="cone count must be an integer >= 1"):
+        GeometricGraph("yao", k, True, nset((0, 0), (1, 0)), ())
 
 
 @pytest.mark.parametrize("u", [np.True_, np.float64(1.0), 1.0, "1", None, np.int64(3), np.int64(-1)])

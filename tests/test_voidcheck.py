@@ -288,6 +288,25 @@ def test_relay_checks_reject_small_k():
         check_theta_cone_relay(ns, 5)
 
 
+@pytest.mark.parametrize("check", [check_yao_cone_relay, check_theta_cone_relay])
+@pytest.mark.parametrize("k, message", [
+    *((bad, "cone count must be an integer >= 1")
+      for bad in ("6", None, True, 2.5, np.True_, np.float64(6.0))),
+    (5, "cone angle exceeds pi/3"),
+    (np.int64(5), "cone angle exceeds pi/3"),
+])
+def test_relay_checks_validate_k_first(check, k, message):
+    with pytest.raises(ValueError, match=message):
+        check(random_nodeset(5, seed=3), k)
+
+
+@pytest.mark.parametrize("k", [np.int64(6), np.int32(7)])
+def test_relay_checks_take_numpy_integer_k(k):
+    ns = random_nodeset(30, seed=4)
+    assert check_yao_cone_relay(ns, k) == check_yao_cone_relay(ns, int(k)) == []
+    assert check_theta_cone_relay(ns, k) == check_theta_cone_relay(ns, int(k)) == []
+
+
 def test_relay_two_nodes_trivially_pass():
     # a lone in-cone node is its own pick; no rival to test
     ns = NodeSet([("u", Point(0, 0)), ("w", Point(0.3, 0.8))])
