@@ -35,15 +35,6 @@ import numpy as np
 from .geometry import TAU, _bisector, _check_k, cone_of  # noqa: F401
 from .model import THETA, YAO, GeometricGraph, NodeSet, _symmetric_keys
 
-# For k < 3 a cone spans a half-plane or the whole plane, so projections
-# onto the bisector stop being positive for all in-cone points and the
-# Theta selection rule loses its usual geometric meaning. Graphs built
-# there carry this warning.
-_THETA_WIDE_CONE_WARNING = (
-    "theta selection for k < 3 minimizes |bisector projection| over cones "
-    "wider than a half-plane; interpret with care"
-)
-
 # Ordered pairs per kernel block. About ten arrays of this many 8-byte
 # entries are alive at once; at 2**14 each fits in a core's L2 cache, and
 # on a 2-core x86-64 VM 1,000- and 3,000-node builds ran faster than at
@@ -68,7 +59,7 @@ def undirect(g: GeometricGraph) -> GeometricGraph:
     if not g.directed:
         raise ValueError("graph is already undirected")
     keys = _symmetric_keys(g.keys, len(g.nodes))
-    return GeometricGraph._from_keys(g.family, g.k, False, g.nodes, keys, g.warning)
+    return GeometricGraph._from_keys(g.family, g.k, False, g.nodes, keys)
 
 
 def build(nodes: NodeSet, family: str, k: int, directed: bool = False) -> GeometricGraph:
@@ -85,8 +76,7 @@ def build(nodes: NodeSet, family: str, k: int, directed: bool = False) -> Geomet
 def _directed_graph(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
     x, y = nodes.coordinates()
     keys = _build_directed(x[None], y[None], k, family)
-    warning = _THETA_WIDE_CONE_WARNING if family == THETA and k < 3 else None
-    return GeometricGraph._from_keys(family, k, True, nodes, keys, warning)
+    return GeometricGraph._from_keys(family, k, True, nodes, keys)
 
 
 def _build_directed(x, y, k: int, family: str) -> np.ndarray:

@@ -5,7 +5,6 @@ import csv
 import io
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,6 +77,7 @@ class NodeSet:
         return self.points[self.index_of(node_id)]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class GeometricGraph:
     """A node set plus an edge set over node indices.
 
@@ -86,14 +86,20 @@ class GeometricGraph:
     as (i, j) with i < j. The constructor checks user edges, given
     sorted, in one pass (_check_edges); the builders' keys are valid by
     construction (_from_keys). They are stored as `keys`, one sorted
-    intp array of flat keys u*n + v: one per directed edge, or both
-    directions of every undirected edge, which makes the keys the
-    graph's CSR adjacency (`csr`). The tuple views `edges`, `edge_set`
-    and `adjacency` are built on first use only. Instances are
-    immutable; derived views are cached.
+    read-only intp array of flat keys u*n + v: one per directed edge, or
+    both directions of every undirected edge, which makes the keys the
+    graph's CSR adjacency (`csr`). Equality and hashing compare the
+    fields; `warning` and the views `edges` and `adjacency` are derived,
+    the views on first use only.
     """
 
-    def __init__(self, family, k, directed, nodes, edges, warning=None):
+    family: str
+    k: int
+    directed: bool
+    nodes: NodeSet
+    _key_bytes: bytes
+
+    def __init__(self, family, k, directed, nodes, edges):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         k = _check_k(k)
@@ -101,37 +107,38 @@ class GeometricGraph:
         keys = _check_edges(edges, _edge_pairs(edges, n), n, k, directed)
         if not directed:
             keys = _symmetric_keys(keys, n)
-        keys.flags.writeable = False
         self.__dict__.update(family=family, k=k, directed=directed, nodes=nodes,
-                             keys=keys, warning=warning)
+                             _key_bytes=keys.tobytes())
 
     @classmethod
-    def _from_keys(cls, family, k, directed, nodes, keys, warning=None):
+    def _from_keys(cls, family, k, directed, nodes, keys):
         """The builders' constructor, over sorted flat keys, not checked: the
         kernel picks at most one node per (source, cone) run, drops the self
         pair and sorts its picks; undirect adds their reverses, each once."""
-        keys.flags.writeable = False
         g = cls.__new__(cls)
         g.__dict__.update(family=family, k=k, directed=directed, nodes=nodes,
-                          keys=keys, warning=warning)
+                          _key_bytes=keys.tobytes())
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _fields(self):
-        return self.family, self.k, self.directed, self.nodes, self.keys.tobytes(), self.warning
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def __repr__(self):
         return (f"GeometricGraph(family={self.family!r}, k={self.k!r}, "
                 f"directed={self.directed!r}, nodes={self.nodes!r}, "
-                f"edges={self.edges!r}, warning={self.warning!r})")
+                f"edges={self.edges!r})")
+
+    @property
+    def warning(self) -> str | None:
+        """A caution for Theta graphs with k < 3, else None. Such a cone
+        spans a half-plane or the whole plane, so projections onto the
+        bisector stop being positive for all in-cone points and the Theta
+        selection rule loses its usual geometric meaning."""
+        if self.family == THETA and self.k < 3:
+            return ("theta selection for k < 3 minimizes |bisector projection| over cones "
+                    "wider than a half-plane; interpret with care")
+        return None
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return np.frombuffer(self._key_bytes, np.intp)
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +153,6 @@ class GeometricGraph:
         if not self.directed:
             u, v = u[u < v], v[u < v]
         return tuple(zip(u.tolist(), v.tolist()))
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -190,20 +193,21 @@ class GeometricGraph:
 
 
 def _edge_pairs(edges, n: int) -> np.ndarray:
-    """User-supplied edges as an (m, 2) intp array. Python ints beyond
-    intp make numpy pick a float or object array; on that path each
-    endpoint must be an integer, and one outside 0..n-1 becomes -1, so
-    that it still reads as a missing node."""
-    pairs = np.array(edges) if len(edges) else np.empty((0, 2), np.intp)
-    if pairs.dtype.kind not in "iu":
+    """User-supplied edges as an (m, 2) intp array. Each endpoint must be
+    an integer (see _as_int); one outside 0..n-1 becomes -1, so that it
+    still reads as a missing node."""
+    flat = []
+    for e in edges:
         try:
-            pairs = np.array([[i if 0 <= i < n else -1 for i in map(operator.index, e)]
-                              for e in edges], np.intp)
-        except TypeError as exc:
-            raise ValueError(f"edge endpoints must be integers: {exc}") from None
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("edges must be (source, target) pairs")
-    return pairs.astype(np.intp, copy=False)
+            a, b = e
+        except (TypeError, ValueError):
+            raise ValueError("edges must be (source, target) pairs") from None
+        for v in (a, b):
+            i = _as_int(v)
+            if i is None:
+                raise ValueError(f"edge endpoint must be an integer, got {v!r}")
+            flat.append(i if 0 <= i < n else -1)
+    return np.array(flat, np.intp).reshape(-1, 2)
 
 
 def _check_edges(edges, pairs, n: int, k: int, directed: bool) -> np.ndarray:
@@ -217,7 +221,7 @@ def _check_edges(edges, pairs, n: int, k: int, directed: bool) -> np.ndarray:
     its predecessors, so one mask over all edges finds the first fault."""
     a, b = pairs.T
     keys = a * n + b
-    missing = (pairs.view(np.uintp) >= n).any(axis=1)
+    missing = (pairs < 0).any(axis=1)
     loop = a == b
     unordered = np.zeros_like(loop)
     unordered[1:] = keys[1:] <= keys[:-1]
@@ -269,7 +273,7 @@ def graphs_equal(g1: GeometricGraph, g2: GeometricGraph) -> bool:
     """True iff both graphs have identical undirected edge sets, directed
     graphs being undirected first.
 
-    Requires the same node set (same ids, bit-identical coordinates).
+    Requires the same node set (same ids, equal coordinates).
     """
     n1, n2 = g1.nodes, g2.nodes
     same = n1.ids == n2.ids and all(
@@ -371,11 +375,7 @@ def graph_from_dict(data: dict) -> GeometricGraph:
     integers and directed a JSON bool; nothing is coerced."""
     try:
         nodes = node_set_from_dict({"nodes": data["nodes"]})
-        edges = [(a, b) for a, b in data["edges"]]
-        bad = [v for e in edges for v in e if _as_int(v) is None]
-        if bad:
-            raise ValueError(f"edge endpoint must be an integer, got {bad[0]!r}")
-        edges = tuple(sorted(edges))
+        edges = tuple(sorted((a, b) for a, b in data["edges"]))
         directed = data["directed"]
         if not isinstance(directed, bool):
             raise ValueError(f"directed must be true or false, got {directed!r}")

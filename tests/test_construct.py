@@ -221,7 +221,7 @@ def assert_matches_reference(nodes, k, family):
     # what build returns passes the public constructor's edge check
     undirected = build(nodes, family, k)
     for g in (built, undirected):
-        assert g == GeometricGraph(family, k, g.directed, nodes, g.edges, g.warning)
+        assert g == GeometricGraph(family, k, g.directed, nodes, g.edges)
 
 
 def nodes_at(coords):

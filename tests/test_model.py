@@ -1,5 +1,6 @@
 """Tests for node sets, graphs, and serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -255,7 +256,8 @@ def test_edges_are_stored_as_flat_keys_and_csr():
 
 def test_edge_endpoints_must_be_integers():
     ns = nset((0, 0), (1, 0), (0, 1))
-    for edges in (((0, 1.5),), ((0.0, 1),), (("0", 1),), ((0, 1, 2),), ((0,),)):
+    for edges in (((0, 1.5),), ((0.0, 1),), (("0", 1),), ((0, 1, 2),), ((0,),),
+                  ((True, 0),), ((0, np.True_),), ((np.False_, 1),)):
         with pytest.raises(ValueError):
             GeometricGraph("yao", 2, True, ns, edges)
 
@@ -420,11 +422,16 @@ def test_node_set_json_rejects_garbage():
 
 def test_graph_json_round_trip():
     ns = random_nodeset(15, seed=13)
-    for directed in (False, True):
-        g = build_directed_yao(ns, 5)
+    for build_directed, k, directed in itertools.product(
+        (build_directed_yao, build_directed_theta), (1, 2, 5, 6), (False, True)
+    ):
+        g = build_directed(ns, k)
         if not directed:
             g = undirect(g)
         back = graph_from_json(graph_to_json(g))
+        assert back == g
+        assert hash(back) == hash(g)
+        assert back.warning == g.warning
         assert back.family == g.family
         assert back.k == g.k
         assert back.directed == g.directed

@@ -20,12 +20,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conegraph.construct import build_directed_theta, build_directed_yao, undirect
-from conegraph.corpus import V2_RAY_TOL, CorpusEntry, validate_v2_constraints
+from conegraph.corpus import _ENTRY_TABLE, V2_RAY_TOL, CorpusEntry, validate_v2_constraints
 from conegraph.geometry import TAU, Point
 from conegraph.model import NodeSet, distance, graphs_equal
 from conegraph.voidcheck import check_void_free
 
 MARGIN = 0.05  # absolute slack required on witness / circle inequalities
+
+# each entry's applicable k, (u, v) witness and nodes outside C_v, as shipped
+CONTRACT = {name: (ks, witness, outside) for name, _, ks, witness, outside in _ENTRY_TABLE}
 
 
 def direction(deg: float) -> tuple[float, float]:
@@ -43,13 +46,25 @@ def offset(p: Point, dist: float, deg: float) -> Point:
     return Point(p.x + dist * dx, p.y + dist * dy)
 
 
-def witness_margin(graph, u: int, v: int) -> float:
-    """min over u's neighbors of d(., v) minus d(u, v), from the pair
-    scan's witness (u, v); -inf when (u, v) is not a void pair."""
-    for w in check_void_free(graph).witnesses:
-        if (w.u, w.v) == (u, v):
-            return w.min_neighbor_distance - w.d_uv
-    return -math.inf
+def contract_ok(name: str, ns: NodeSet) -> bool:
+    """The corpus contract of entry name (see corpus.validate_entry), with
+    MARGIN slack: every listed node lies beyond C_v by MARGIN and, for each
+    k, the Yao and Theta graphs coincide and the (u, v) witness holds with
+    slack MARGIN, so it holds for Theta too."""
+    ks, (u_id, v_id), outside = CONTRACT[name]
+    u, v = ns.index_of(u_id), ns.index_of(v_id)
+    r = distance(ns.points[u], ns.points[v])
+    if not all(distance(ns.point_of(x), ns.points[v]) > r + MARGIN for x in outside):
+        return False
+    for k in ks:
+        yao = undirect(build_directed_yao(ns, k))
+        if not graphs_equal(yao, undirect(build_directed_theta(ns, k))):
+            return False
+        slack = [w.min_neighbor_distance - w.d_uv
+                 for w in check_void_free(yao).witnesses if (w.u, w.v) == (u, v)]
+        if not slack or slack[0] < MARGIN:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -58,23 +73,8 @@ def witness_margin(graph, u: int, v: int) -> float:
 
 def v0_ok(ns: NodeSet) -> bool:
     u, v, a, b = 0, 1, 2, 3
-    yao = {}
-    for k in (1, 2, 3):
-        yao[k] = undirect(build_directed_yao(ns, k))
-    if set(yao[1].edges) != {(u, a), (v, b)}:
-        return False
-    if yao[2].edges != yao[3].edges:
-        return False
-    r = distance(ns.points[u], ns.points[v])
-    if not distance(ns.points[a], ns.points[v]) > r + MARGIN:
-        return False
-    for k in (1, 2, 3):
-        theta = undirect(build_directed_theta(ns, k))
-        if not graphs_equal(yao[k], theta):
-            return False
-        if witness_margin(yao[k], u, v) < MARGIN:
-            return False
-    return True
+    yao = {k: undirect(build_directed_yao(ns, k)) for k in (1, 2, 3)}
+    return set(yao[1].edges) == {(u, a), (v, b)} and yao[2].edges == yao[3].edges
 
 
 def sample_v0(rng: random.Random) -> NodeSet:
@@ -94,22 +94,8 @@ def sample_v0(rng: random.Random) -> NodeSet:
 
 
 def v1_ok(ns: NodeSet) -> bool:
-    u, v, a, b = 0, 1, 2, 3
-    yao = undirect(build_directed_yao(ns, 4))
-    if set(yao.neighbors(u)) != {a, b}:
-        return False
-    r = distance(ns.points[u], ns.points[v])
-    for x in (a, b):
-        if not distance(ns.points[x], ns.points[v]) > r + MARGIN:
-            return False
-    if witness_margin(yao, u, v) < MARGIN:
-        return False
-    theta = undirect(build_directed_theta(ns, 4))
-    if not graphs_equal(yao, theta):
-        return False
-    if witness_margin(theta, u, v) < MARGIN:
-        return False
-    return True
+    u, a, b = 0, 2, 3
+    return set(undirect(build_directed_yao(ns, 4)).neighbors(u)) == {a, b}
 
 
 def sample_v1(rng: random.Random) -> NodeSet:
@@ -131,33 +117,8 @@ def sample_v1(rng: random.Random) -> NodeSet:
 # V2: six nodes, k = 5
 
 
-def make_v2_entry(ns: NodeSet) -> CorpusEntry:
-    return CorpusEntry(
-        name="V2",
-        nodes=ns,
-        applicable_k=(5,),
-        expected_witness=("u", "v"),
-        outside_circle=("a", "b", "c"),
-    )
-
-
 def v2_ok(ns: NodeSet) -> bool:
-    u, v = 0, 1
-    if validate_v2_constraints(make_v2_entry(ns)):
-        return False
-    r = distance(ns.points[u], ns.points[v])
-    for label in ("a", "b", "c"):
-        if not distance(ns.point_of(label), ns.points[v]) > r + MARGIN:
-            return False
-    yao = undirect(build_directed_yao(ns, 5))
-    if witness_margin(yao, u, v) < MARGIN:
-        return False
-    theta = undirect(build_directed_theta(ns, 5))
-    if not graphs_equal(yao, theta):
-        return False
-    if witness_margin(theta, u, v) < MARGIN:
-        return False
-    return True
+    return not validate_v2_constraints(CorpusEntry("V2", ns, *CONTRACT["V2"]))
 
 
 def sample_v2(rng: random.Random) -> NodeSet:
@@ -221,7 +182,11 @@ def jitter_nodes(ns: NodeSet, rng: random.Random, amp: float, keep: tuple[str, .
 
 
 def find(entry: str, seed: int, budget: int) -> NodeSet | None:
-    sampler, ok = ENTRIES[entry]
+    sampler, structure_ok = ENTRIES[entry]
+
+    def ok(ns: NodeSet) -> bool:
+        return structure_ok(ns) and contract_ok(entry, ns)
+
     keep = KEEP_EXACT.get(entry, ())
     rng = random.Random(seed)
     jrng = random.Random(seed + 1)
