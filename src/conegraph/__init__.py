@@ -18,7 +18,6 @@ from .corpus import (
 )
 from .geometry import (
     Point,
-    angle_at,
     bisector_direction,
     bisector_projection,
     clockwise_angle_from_north,
@@ -63,7 +62,6 @@ __all__ = [
     "VoidReport",
     "VoidWitness",
     "YAO",
-    "angle_at",
     "bisector_direction",
     "bisector_projection",
     "build",

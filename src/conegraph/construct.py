@@ -9,31 +9,27 @@ is +inf picks its smallest index too.
 Construction runs a numpy kernel over blocks of source rows, each holding
 about _BLOCK_PAIRS = 2**14 ordered pairs. It sorts each row by angle, so
 that every cone is one contiguous run, and takes each run's minimum. A
-block's transient arrays stay near 1.5 MiB whatever n and k are. Per pair
-the kernel takes the same double-precision steps as geometry.cone_of,
-geometry.bisector_projection and model.distance; the tests compare it
-edge for edge with a per-pair scalar cone scan.
+block's transient arrays stay near 1.5 MiB whatever n and k are. The
+kernel computes no formula itself: cones and bisectors come from
+geometry._cones and geometry._bisectors, Yao keys from model._norm, the
+array forms of geometry.cone_of, geometry.bisector_projection and
+model.distance. The tests compare it edge for edge with a per-pair
+scalar cone scan.
 
-The kernel has a leading batch axis: it takes B node sets of n nodes
-each as (B, n) coordinate arrays, and source row g*n + u is node u of
-set g. A block holds as many whole sets as fit, or else a run of one
-set's rows, so a row is only ever compared with its own set. The picks
-come out as the flat keys (g*n + u)*n + v. The builders here pass one
-set (B = 1), whose keys are the graph's keys u*n + v; the counterexample
-search passes many small sets at once.
-
-A directed graph holds the kernel's picks as sorted flat keys u*n + v,
-and undirect merges them with their reverses; no step builds an edge
-tuple, and neither is checked again: the kernel picks at most one node
-per (source, cone) run, drops the self pair and sorts its picks.
+The kernel has a leading batch axis (see _build_directed and _row_blocks).
+build_directed_yao and build_directed_theta pass one node set, whose
+picks are the directed graph's sorted flat keys u*n + v; the
+counterexample search passes many small sets at once. undirect merges
+the keys with their reverses. No step builds an edge tuple or checks
+the keys again (see model.GeometricGraph._from_keys).
 """
 
 import numpy as np
 
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
-from .geometry import TAU, _bisector, _check_k, cone_of  # noqa: F401
-from .model import THETA, YAO, GeometricGraph, NodeSet, _symmetric_keys
+from .geometry import _bisectors, _check_k, _cones, cone_of  # noqa: F401
+from .model import THETA, YAO, GeometricGraph, NodeSet, _norm, _symmetric_keys
 
 # Ordered pairs per kernel block. About ten arrays of this many 8-byte
 # entries are alive at once; at 2**14 each fits in a core's L2 cache, and
@@ -110,7 +106,7 @@ def _build_directed(x, y, k: int, family: str) -> np.ndarray:
             # keeps a NaN that comes first in its cone
             np.fmin(key, np.inf, out=key)
         else:
-            key = np.sqrt(dx * dx + dy * dy).take(at)
+            key = _norm(dx, dy).take(at)
         hit = key == np.minimum.reduceat(key, heads)[run]
         # the smallest flat index among a run's minima is its smallest column
         picks.append(np.minimum.reduceat(np.where(hit, at, angle.size), heads)
@@ -127,31 +123,3 @@ def _row_blocks(sets: int, n: int, size: int) -> list[tuple[int, int, int, int]]
         return [(g0, min(g0 + step, sets), 0, n) for g0 in range(0, sets, step)]
     step = max(1, size // n)
     return [(g, g + 1, u0, min(u0 + step, n)) for g in range(sets) for u0 in range(0, n, step)]
-
-
-def _cones(dx, dy, k: int):
-    """Clockwise angle from north and cone index of each direction (dx, dy),
-    by geometry.cone_of's double-precision steps; cones are integral floats
-    in 1..k, so nothing here is sized by k."""
-    angle = np.arctan2(dx, dy)
-    np.add(angle, TAU, out=angle, where=angle <= 0.0)
-    cone = np.ceil(angle * k / TAU)
-    np.maximum(cone, 1.0, out=cone)
-    np.minimum(cone, k, out=cone)
-    return angle, cone
-
-
-def _bisectors(cone, k: int):
-    """Bisector components of each cone index in the 1-d array cone, as
-    geometry.bisector_direction computes them, with one call per distinct
-    cone. A sort and searchsorted cost less than np.unique below a few
-    thousand entries; a block's runs number rows times occupied cones,
-    which passes that only when k is in the hundreds."""
-    vals = np.sort(cone)
-    first = np.empty(vals.size, bool)
-    first[:1] = True
-    np.not_equal(vals[1:], vals[:-1], out=first[1:])
-    vals = vals[first]
-    bx, by = np.array([_bisector(i, k) for i in vals.tolist()]).reshape(-1, 2).T
-    at = vals.searchsorted(cone)
-    return bx[at], by[at]

@@ -115,23 +115,13 @@ def validate_v2_constraints(entry: CorpusEntry) -> list[str]:
     k = 5
     nodes = entry.nodes
     p = {label: nodes.point_of(label) for label in ("u", "v", "a", "b", "c", "d")}
-    violations = []
-
-    def check_cone(label: str, center: str, i: int) -> None:
-        if cone_of(p[center], p[label], k) != i:
-            violations.append(f"{label} not in c({center},{i})")
-
-    check_cone("v", "u", 1)
+    cones = (("v", "u", 1), ("d", "v", 4), ("b", "u", 3), ("b", "d", 4), ("b", "v", 4),
+             ("c", "u", 2), ("c", "d", 3), ("c", "v", 3))
+    violations = [f"{label} not in c({center},{i})" for label, center, i in cones
+                  if cone_of(p[center], p[label], k) != i]
     angle = clockwise_angle_from_north(p["u"], p["v"])
     if not TAU / k - V2_RAY_TOL <= angle <= TAU / k:
         violations.append(f"v not within {V2_RAY_TOL} rad of the trailing ray of c(u,1)")
-    check_cone("d", "v", 4)
-    check_cone("b", "u", 3)
-    check_cone("b", "d", 4)
-    check_cone("b", "v", 4)
-    check_cone("c", "u", 2)
-    check_cone("c", "d", 3)
-    check_cone("c", "v", 3)
     radius = distance(p["u"], p["v"])
     for label in ("a", "b", "c"):
         if not distance(p[label], p["v"]) > radius:
@@ -173,20 +163,14 @@ def search_counterexample(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    k, given = _as_int(k), k
-    if k is None:
-        raise ValueError(f"k must be an integer, got {given!r}")
+    k = _integer(k, "k")
     if not 1 <= k <= 5:
         raise ValueError("k outside 1..5: theorem guarantees no counterexample")
     if n_nodes is not None:
-        n_nodes, given = _as_int(n_nodes), n_nodes
-        if n_nodes is None:
-            raise ValueError(f"node count must be an integer, got {given!r}")
+        n_nodes = _integer(n_nodes, "node count")
         if n_nodes < 2:
             raise ValueError(f"need at least two nodes, got {n_nodes}")
-    budget, given = _as_int(budget), budget
-    if budget is None:
-        raise ValueError(f"trial budget must be an integer, got {given!r}")
+    budget = _integer(budget, "trial budget")
     if budget < 1:
         raise ValueError(f"trial budget must be at least 1, got {budget}")
     rng = random.Random(seed)
@@ -209,6 +193,15 @@ def search_counterexample(
         trial += len(batch)
         size *= 2
     return SearchResult(nodes=None, trials=budget)
+
+
+def _integer(value, name: str) -> int:
+    """value as a plain int (see geometry._as_int), else a ValueError
+    naming the argument."""
+    i = _as_int(value)
+    if i is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return i
 
 
 def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:

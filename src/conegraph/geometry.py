@@ -8,23 +8,38 @@ clockwise-trailing ray, and every direction belongs to exactly one cone.
 
 All angle arithmetic is plain double precision: a point within an ulp of
 a cone boundary belongs to whatever cone the formula yields.
+
+The array forms _cones and _bisectors, which the construction kernel and
+the relay checks call, take cone_of's and _bisector's steps bit for bit.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 TAU = math.tau
 
 
 @dataclass(frozen=True)
 class Point:
-    """A planar coordinate pair. Coordinates must be finite."""
+    """A planar coordinate pair of finite doubles. Other real numbers are
+    converted with float(); bools and strings are rejected."""
 
     x: float
     y: float
 
     def __post_init__(self):
+        if type(self.x) is not float or type(self.y) is not float:
+            for name, value in (("x", self.x), ("y", self.y)):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"coordinates must be real numbers, got {value!r}")
+                try:
+                    object.__setattr__(self, name, float(value))
+                except OverflowError:
+                    raise ValueError(f"{name} coordinate is beyond the double range") from None
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates: ({self.x}, {self.y})")
 
@@ -84,24 +99,47 @@ def bisector_projection(origin: Point, p: Point, i: int, k: int) -> float:
     return dx * bx + dy * by
 
 
-def angle_at(vertex: Point, p: Point, q: Point) -> float:
-    """Interior angle in [0, pi] at vertex between the rays vertex->p and
-    vertex->q."""
-    ax = p.x - vertex.x
-    ay = p.y - vertex.y
-    bx = q.x - vertex.x
-    by = q.y - vertex.y
-    if (ax == 0.0 and ay == 0.0) or (bx == 0.0 and by == 0.0):
-        raise ValueError("degenerate direction: points coincide")
-    # atan2 of (|cross|, dot) stays well-conditioned near 0 and pi,
-    # unlike acos of the normalized dot product
-    return math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by)
-
-
 def _bisector(i, k: int) -> tuple[float, float]:
-    # unchecked; i may be an integral float, as the construction kernel has it
+    # unchecked; i may be an integral float, as _bisectors has it
     theta = (i - 0.5) * TAU / k
     return (math.sin(theta), math.cos(theta))
+
+
+def _cones(dx, dy, k: int):
+    """Clockwise angle from north and cone index of each direction (dx, dy),
+    by cone_of's double-precision steps; cones are integral floats in 1..k,
+    so nothing here is sized by k."""
+    angle = np.arctan2(dx, dy)
+    np.add(angle, TAU, out=angle, where=angle <= 0.0)
+    cone = np.ceil(angle * k / TAU)
+    np.maximum(cone, 1.0, out=cone)
+    np.minimum(cone, k, out=cone)
+    return angle, cone
+
+
+def _ranks(values):
+    """The distinct entries of the array values, ascending, and each entry's
+    index among them. Below a few thousand entries a sort and searchsorted
+    cost less than np.unique."""
+    distinct = _distinct(np.sort(values, axis=None))
+    return distinct, distinct.searchsorted(values)
+
+
+def _distinct(a):
+    """The distinct entries of the sorted 1-d array a."""
+    first = np.empty(a.size, bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
+def _bisectors(cone, k: int):
+    """Bisector components of each cone index in the array cone, as
+    bisector_direction computes them, with one _bisector call per distinct
+    cone."""
+    distinct, at = _ranks(cone)
+    bx, by = np.array([_bisector(i, k) for i in distinct.tolist()]).reshape(-1, 2).T
+    return bx[at], by[at]
 
 
 def _as_int(value) -> int | None:

@@ -1,5 +1,7 @@
 """Node sets, geometric graphs, routing/void result records, and their
-JSON/CSV serialization."""
+JSON/CSV serialization. Every array distance (the distance matrix, the
+construction kernel's Yao keys, the relay checks) goes through _norm,
+the array form of distance."""
 
 import csv
 import io
@@ -10,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Point, _as_int, _check_k
+from .geometry import Point, _as_int, _check_k, _distinct
 
 YAO = "yao"
 THETA = "theta"
@@ -19,10 +21,19 @@ FAMILIES = (YAO, THETA)
 
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance. Uses sqrt(dx*dx + dy*dy) so scalar results are
-    bit-identical to the vectorized distance matrix."""
+    bit-identical to _norm's."""
     dx = b.x - a.x
     dy = b.y - a.y
     return math.sqrt(dx * dx + dy * dy)
+
+
+def _norm(dx, dy) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) of float arrays, by distance's steps, computed in
+    dx's buffer: it returns dx, and overwrites dy too."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 @dataclass(frozen=True)
@@ -293,10 +304,7 @@ def _symmetric_keys(keys, n: int) -> np.ndarray:
     rows, v = np.divmod(keys, n)
     keys = np.concatenate((keys, keys + (v - rows % n) * (n - 1)))
     keys.sort()
-    keep = np.empty(keys.size, bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    return _distinct(keys)
 
 
 def _csr(keys, n: int, graphs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,12 +316,10 @@ def _csr(keys, n: int, graphs: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distances(x, y) -> np.ndarray:
-    """Pairwise Euclidean distances, sqrt(dx*dx + dy*dy), of the points in
-    each row of the coordinate arrays x and y: shape (..., n) gives
-    (..., n, n)."""
-    dx = x[..., :, None] - x[..., None, :]
-    dy = y[..., :, None] - y[..., None, :]
-    return np.sqrt(dx * dx + dy * dy)
+    """Pairwise Euclidean distances of the points in each row of the float
+    coordinate arrays x and y: shape (..., n) gives (..., n, n). Built in
+    place, so two n x n arrays are alive at once."""
+    return _norm(x[..., :, None] - x[..., None, :], y[..., :, None] - y[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +334,7 @@ def node_set_from_dict(data: dict) -> NodeSet:
     try:
         entries = data["nodes"]
         return NodeSet((e["id"], Point(float(e["x"]), float(e["y"]))) for e in entries)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed node-set data: {exc}") from exc
 
 
@@ -375,7 +381,10 @@ def graph_from_dict(data: dict) -> GeometricGraph:
     integers and directed a JSON bool; nothing is coerced."""
     try:
         nodes = node_set_from_dict({"nodes": data["nodes"]})
-        edges = tuple(sorted((a, b) for a, b in data["edges"]))
+        # a sort key that cannot fail: an endpoint that is not an integer ranks
+        # as -1, and the constructor names it
+        edges = tuple(sorted(((a, b) for a, b in data["edges"]),
+                             key=lambda e: [-1 if i is None else i for i in map(_as_int, e)]))
         directed = data["directed"]
         if not isinstance(directed, bool):
             raise ValueError(f"directed must be true or false, got {directed!r}")

@@ -12,17 +12,13 @@ construction kernel, the scan has a leading batch axis: it takes the
 whose rows g*n + u never reach into another graph, and yields witnesses
 in (g, u, v) order. check_void_free and has_void scan one graph (B = 1);
 the counterexample search scans many small graphs at once and reads the
-first graph with a void from the first witness.
-check_by_routing is an independent oracle exploiting the equivalence
-with greedy forwarding succeeding between all ordered pairs. Every node
-is also a source, so a packet gets stuck at u on its way to t on some
-route exactly when greedy forwarding's first step from u toward t
-fails. It marks those pairs one node at a time and replays greedy_route
-once per marked pair.
+first graph with a void from the first witness. check_by_routing is an
+independent oracle through greedy forwarding.
 
-The cone-relay checks also run over blocks of source rows, with the
-construction kernel's cone formula, so no step makes a per-pair Python
-call.
+The cone-relay checks also run over blocks of source rows, so no step
+makes a per-pair Python call. Like the construction kernel, they take
+cones and bisectors from geometry._cones and geometry._bisectors and
+distances from model._norm, so both decide every pair the same way.
 """
 
 import math
@@ -32,12 +28,9 @@ import numpy as np
 
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
-from .geometry import _check_k, cone_of  # noqa: F401
-from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness
-from .construct import (
-    _BLOCK_PAIRS, _bisectors, _cones, _row_blocks, build_directed_theta,
-    build_directed_yao,
-)
+from .geometry import _bisectors, _check_k, _cones, _ranks, cone_of  # noqa: F401
+from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness, _norm
+from .construct import _BLOCK_PAIRS, _row_blocks, build_directed_theta, build_directed_yao
 from .routing import greedy_route
 
 # Distance-matrix entries per pair-scan gather. A block of
@@ -215,8 +208,7 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
         dy = y - y[r0:r1, None]
         cone = _cones(dx, dy, k)[1]
         # ranking the cone values makes (row, cone) a dense slot whatever k is
-        vals, rank = np.unique(cone, return_inverse=True)
-        rank = rank.reshape(b, n)
+        vals, rank = _ranks(cone)
         slots = b * len(vals)
         slot = rank + np.arange(0, slots, len(vals))[:, None]
         # each pair's pick w is u's edge in v's cone; keys are sorted by source
@@ -231,18 +223,17 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
             raise RuntimeError("a non-empty cone has no selected neighbor")
         w[~tested] = 0  # any real node; untested pairs are masked out below
         src = np.arange(b)[:, None]
-        d_uv = np.sqrt(dx * dx + dy * dy)
-        # selection: Yao's distance minimality, or Theta's projection minimality
+        # selection: Yao's distance minimality, or Theta's projection
+        # minimality; the projections read dx, dy before _norm overwrites them
         if family == YAO:
-            key = d_uv
+            key = d_uv = _norm(dx, dy)
         else:
             # w shares v's cone, so one bisector per pair serves both projections
             bx, by = _bisectors(vals, k)
             key = dx * bx[rank] + dy * by[rank]
+            d_uv = _norm(dx, dy)
         selected = ~(key[src, w] <= key) & tested
-        wx = x - x[w]
-        wy = y - y[w]
-        farther = ~(np.sqrt(wx * wx + wy * wy) < d_uv) & tested
+        farther = ~(_norm(x - x[w], y - y[w]) < d_uv) & tested
         flagged = (selected | farther).nonzero()
         for r, v in zip(*(a.tolist() for a in flagged)):
             u, wv, i = r0 + r, int(w[r, v]), int(cone[r, v])

@@ -59,6 +59,14 @@ def test_build_malformed_json_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "check", "--input", str(missing), "--family", "yao", "--k", "6")
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot read {missing}" in err
+
+
 def test_build_duplicate_coordinates_exits_2(tmp_path, capsys):
     p = tmp_path / "dup.json"
     p.write_text(json.dumps({"nodes": [

@@ -2,6 +2,7 @@
 counterexample search."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,22 @@ def test_theta_equals_yao_on_every_entry():
             yao = undirect(build_directed_yao(e.nodes, k))
             theta = undirect(build_directed_theta(e.nodes, k))
             assert graphs_equal(yao, theta)
+
+
+@pytest.mark.parametrize("name, ks, want", [
+    ("V1", (2,), ["yao and theta graphs differ at k=2"]),
+    ("V0", (4,), ["yao graph at k=4 lacks the (u,v) witness",
+                  "theta graph at k=4 lacks the (u,v) witness"]),
+])
+def test_validate_entry_reports_a_k_it_does_not_hold_for(name, ks, want):
+    assert validate_entry(replace(entry(name), applicable_k=ks)) == want
+
+
+def test_validate_entry_reports_a_node_inside_the_circle():
+    v0 = entry("V0")
+    u, v = v0.nodes.point_of("u"), v0.nodes.point_of("v")
+    bad = replace(v0, nodes=moved(v0.nodes, "a", Point((u.x + v.x) / 2, (u.y + v.y) / 2)))
+    assert validate_entry(bad)[0] == "a inside C_v"
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +225,12 @@ def test_search_budget_exhaustion_reports_trials():
     result = search_counterexample("yao", 5, seed=1, budget=3)
     assert not result.found
     assert result.trials == 3
+
+
+@pytest.mark.parametrize("n_nodes", [1, 0, -2])
+def test_search_rejects_fewer_than_two_nodes(n_nodes):
+    with pytest.raises(ValueError, match=f"need at least two nodes, got {n_nodes}"):
+        search_counterexample("yao", 1, n_nodes=n_nodes, budget=5)
 
 
 @pytest.mark.parametrize("budget", [0, -3])

@@ -1,6 +1,7 @@
 """Tests for the cone and bisector primitives."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from conegraph.geometry import (
     TAU,
     Point,
-    angle_at,
     bisector_direction,
     bisector_projection,
     clockwise_angle_from_north,
@@ -243,6 +243,8 @@ def test_projection_matches_rotation_into_bisector_frame():
 def test_projection_rejects_coincident_points():
     with pytest.raises(ValueError, match="degenerate"):
         bisector_projection(ORIGIN, Point(0, 0), 1, 4)
+    with pytest.raises(ValueError, match="degenerate"):
+        bisector_projection(Point(1.5, -2), Point(1.5, -2.0), 3, 6)
 
 
 def test_boundary_rays_project_equally_at_cos_pi_over_k():
@@ -270,7 +272,7 @@ def test_in_cone_projection_positive_for_k3_and_up():
 
 
 # ---------------------------------------------------------------------------
-# Point / angle_at
+# Point
 
 
 def test_point_rejects_non_finite():
@@ -280,9 +282,18 @@ def test_point_rejects_non_finite():
         Point(0.0, math.inf)
 
 
-def test_angle_at_right_angle():
-    assert angle_at(ORIGIN, Point(1, 0), Point(0, 1)) == pytest.approx(math.pi / 2)
+def test_point_stores_real_numbers_as_floats():
+    for value in (3, np.int64(3), np.uint8(3), np.float32(3.0), np.float64(3.0), Fraction(3)):
+        p = Point(value, 1)
+        assert type(p.x) is float and type(p.y) is float
+        assert p == Point(3.0, 1.0)
+    assert Point(4_000_000_000, 2**70) == Point(4e9, 2.0**70)
 
 
-def test_angle_at_collinear_is_zero():
-    assert angle_at(ORIGIN, Point(1, 1), Point(2, 2)) == pytest.approx(0.0, abs=1e-12)
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, 1 + 2j,
+                                   pytest.param(10**400, id="10**400")])
+def test_point_rejects_bools_non_reals_and_ints_beyond_doubles(value):
+    with pytest.raises(ValueError):
+        Point(value, 0.0)
+    with pytest.raises(ValueError):
+        Point(0.0, value)

@@ -88,6 +88,11 @@ def test_node_set_lookup():
 # GeometricGraph invariants
 
 
+def test_graph_rejects_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'gabriel'"):
+        GeometricGraph("gabriel", 1, False, nset((0, 0), (1, 0)), ())
+
+
 def test_graph_rejects_self_loop():
     ns = nset((0, 0), (1, 0))
     with pytest.raises(ValueError, match="self-loop"):
@@ -169,7 +174,8 @@ def test_edge_check_names_the_first_faulty_edge(directed, k, edges, message):
 
 
 # graph_from_dict sorts the edges first, so only faults that survive
-# sorting reach the check
+# sorting reach the check; an endpoint that is not an integer sorts
+# without error and is named
 DICT_FAULTS = [
     (True, 2, [[0, 1], [-1, 2]], "edge (-1, 2) references a missing node"),
     (False, 2, [[0, 3]], "edge (0, 3) references a missing node"),
@@ -179,6 +185,8 @@ DICT_FAULTS = [
     (True, 1, [[1, 2], [1, 0]], "out-degree exceeds k=1"),
     (False, 2, [[2, 1], [0, 1]], "undirected edge (2, 1) not normalized as (i, j) with i < j"),
     (True, 1, [[0, 2], [1, 1], [0, 1]], "out-degree exceeds k=1"),
+    (True, 2, [["0", 1], [0, 2]], "edge endpoint must be an integer, got '0'"),
+    (True, 2, [[0, 1], [None, 2]], "edge endpoint must be an integer, got None"),
 ]
 
 
@@ -413,11 +421,20 @@ def test_csv_requires_header():
         node_set_from_csv("a,0,0\n")
 
 
+@pytest.mark.parametrize("row", ["a,1", "a,1,y", "a,1,1e999"])
+def test_csv_rejects_malformed_rows(row):
+    with pytest.raises(ValueError, match="malformed CSV node row"):
+        node_set_from_csv(f"id,x,y\nb,0,0\n{row}\n")
+
+
 def test_node_set_json_rejects_garbage():
     with pytest.raises(ValueError, match="invalid JSON"):
         node_set_from_json("{nope")
     with pytest.raises(ValueError, match="malformed"):
         node_set_from_json('{"wrong": []}')
+    # a JSON integer beyond the double range
+    with pytest.raises(ValueError, match="malformed node-set data"):
+        node_set_from_json('{"nodes": [{"id": "a", "x": 1%s, "y": 0}]}' % ("0" * 400))
 
 
 def test_graph_json_round_trip():
@@ -462,6 +479,14 @@ def test_graph_from_dict_rejects_non_json_types(field, value):
     assert g.edges and graph_from_dict(data).edges == g.edges
     data[field] = value
     with pytest.raises(ValueError):
+        graph_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["family", "k", "directed", "nodes", "edges"])
+def test_graph_from_dict_rejects_a_missing_key(key):
+    data = graph_to_dict(undirect(build_directed_yao(nset((0, 0), (1, 0), (0, 1)), 3)))
+    del data[key]
+    with pytest.raises(ValueError, match=f"malformed graph data: '{key}'"):
         graph_from_dict(data)
 
 

@@ -9,7 +9,7 @@ import pytest
 from conegraph import voidcheck
 from conegraph.construct import build, build_directed_yao
 from conegraph.corpus import load_corpus, random_nodeset
-from conegraph.geometry import TAU, Point, angle_at, bisector_projection, cone_of
+from conegraph.geometry import TAU, Point, bisector_projection, cone_of
 from conegraph.model import GeometricGraph, NodeSet, VoidWitness, _csr, distance
 from conegraph.routing import greedy_route
 from conegraph.voidcheck import (
@@ -258,6 +258,24 @@ def test_adding_the_pair_edge_removes_its_witness():
     assert (u, v) not in patched_pairs
 
 
+@pytest.mark.parametrize("scale", [1, 4_000_000_000, 2**70])
+def test_integer_points_match_float_points(scale):
+    # integers must reach the kernels as doubles: int64 squares wrap past
+    # about 3e9, and ints beyond int64 make object arrays
+    coords = [(0, 0), (3, 1), (-2, 5), (7, -4), (1, 9), (-6, -3), (4, 4)]
+    ints = NodeSet((f"p{i}", Point(x * scale, y * scale)) for i, (x, y) in enumerate(coords))
+    floats = NodeSet((f"p{i}", Point(float(x * scale), float(y * scale)))
+                     for i, (x, y) in enumerate(coords))
+    for family in ("yao", "theta"):
+        for k in (2, 4, 6):
+            g, h = build(ints, family, k), build(floats, family, k)
+            assert g.edges == h.edges
+            assert check_void_free(g) == check_void_free(h)
+            assert np.array_equal(g.dist_matrix, h.dist_matrix)
+    assert check_yao_cone_relay(ints, 6) == check_yao_cone_relay(floats, 6) == []
+    assert check_theta_cone_relay(ints, 7) == check_theta_cone_relay(floats, 7) == []
+
+
 def test_witness_report_dict_uses_ids():
     v2 = next(e for e in load_corpus() if e.name == "V2")
     g = build(v2.nodes, "yao", 5)
@@ -329,7 +347,7 @@ def test_relay_near_boundary_fixture_k6():
     v = Point(math.sin(1e-6), math.cos(1e-6))
     ns = NodeSet([("u", Point(0, 0)), ("w", w), ("v", v)])
     assert check_yao_cone_relay(ns, 6) == []
-    ang = angle_at(Point(0, 0), w, v)
+    ang = math.atan2(abs(w.x * v.y - w.y * v.x), w.x * v.x + w.y * v.y)  # angle wuv
     assert math.pi / 3 - 1e-5 < ang < math.pi / 3
     assert distance(w, v) < distance(Point(0, 0), v)
 
