@@ -7,7 +7,7 @@ broken deterministically by smallest node index; a cone whose every key
 is +inf picks its smallest index too.
 
 Construction runs a numpy kernel over blocks of source rows, each holding
-about _BLOCK_PAIRS = 2**14 ordered pairs. It sorts each row by angle, so
+about _BLOCK_PAIRS = 2**14 candidate pairs. It sorts each row by angle, so
 that every cone is one contiguous run, and takes each run's minimum. A
 block's transient arrays stay near 1.5 MiB whatever n and k are. The
 kernel computes no formula itself: cones and bisectors come from
@@ -16,12 +16,12 @@ array forms of geometry.cone_of, geometry.bisector_projection and
 model.distance. The tests compare it edge for edge with a per-pair
 scalar cone scan.
 
-The kernel has a leading batch axis (see _build_directed and _row_blocks).
-build_directed_yao and build_directed_theta pass one node set, whose
-picks are the directed graph's sorted flat keys u*n + v; the
-counterexample search passes many small sets at once. undirect merges
-the keys with their reverses. No step builds an edge tuple or checks
-the keys again (see model.GeometricGraph._from_keys).
+The kernel reads each node's candidates from a table (_build_directed).
+build_directed_yao and build_directed_theta pass one shared row, a node
+set's n nodes, and get the directed graph's sorted keys u*n + v; the
+counterexample search passes a batch of small sets of any sizes at once.
+undirect merges the keys with their reverses. No step builds an edge
+tuple or checks the keys again (see model.GeometricGraph._from_keys).
 """
 
 import numpy as np
@@ -71,36 +71,43 @@ def build(nodes: NodeSet, family: str, k: int, directed: bool = False) -> Geomet
 
 def _directed_graph(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
     x, y = nodes.coordinates()
-    keys = _build_directed(x[None], y[None], k, family)
+    keys = _build_directed(x, y, np.arange(len(x))[None], k, family)
     return GeometricGraph._from_keys(family, k, True, nodes, keys)
 
 
-def _build_directed(x, y, k: int, family: str) -> np.ndarray:
-    """The construction kernel over B node sets of n nodes each, given as
-    (B, n) coordinate arrays. Returns the picks as sorted flat keys
-    (g*n + u)*n + v, which for B = 1 are the directed graph's keys."""
-    theta = family == THETA
-    n = x.shape[1]
+def _build_directed(x, y, cols, k: int, family: str) -> np.ndarray:
+    """The construction kernel over the n nodes at the flat coordinate
+    arrays x, y. Row u of the candidate table cols lists u's candidates in
+    ascending order, u included; the one row np.arange(n)[None] is every
+    node's. Returns the picks as sorted flat keys u*n + v."""
+    n, m = len(x), cols.shape[1]
+    step = max(1, _BLOCK_PAIRS // m)
     picks = []
-    for g0, g1, u0, u1 in _row_blocks(len(x), n, _BLOCK_PAIRS):
-        # dx, dy are v - u for source rows u and target columns v of one set
-        dx = (x[g0:g1, None] - x[g0:g1, u0:u1, None]).reshape(-1, n)
-        dy = (y[g0:g1, None] - y[g0:g1, u0:u1, None]).reshape(-1, n)
+    for u0 in range(0, n, step):
+        u1 = min(u0 + step, n)
+        c = cols[u0:u1] if len(cols) > 1 else cols
+        # dx, dy are v - u for source rows u and their candidates v
+        dx = x.take(c) - x[u0:u1, None]
+        dy = y.take(c) - y[u0:u1, None]
         angle, cone = _cones(dx, dy, k)
-        angle.reshape(g1 - g0, -1)[:, u0::n + 1] = -1.0  # self pairs sort first; dropped
+        # u's own slots sort first, as a run of cone 0 whose pick is dropped
+        own = _own_slots(cols, u0, u1)
+        angle.reshape(-1)[own] = -1.0
+        cone.reshape(-1)[own] = 0.0
         # The cone index is non-decreasing in the angle, so along each row's
         # angular order every cone is one contiguous run.
-        at = angle.argsort(axis=1)[:, 1:]
-        at += np.arange(0, angle.size, n)[:, None]
+        at = angle.argsort(axis=1)
+        at += np.arange(0, angle.size, m)[:, None]
         at = at.reshape(-1)
         cone = cone.take(at)
         runs = np.empty(at.size, bool)
+        runs[0] = True  # later rows open with own runs; merged ones drop together
         np.not_equal(cone[1:], cone[:-1], out=runs[1:])
-        runs[::max(n - 1, 1)] = True  # each row opens a run (n == 1 has no pairs)
         heads = runs.nonzero()[0]
         run = runs.cumsum() - 1
-        if theta:
-            bx, by = _bisectors(cone[heads], k)
+        cone = cone[heads]
+        if family == THETA:
+            bx, by = _bisectors(cone, k)
             key = np.abs(dx.take(at) * bx[run] + dy.take(at) * by[run])
             # NaN keys (dx, dy both infinite) rank as +inf; the scan instead
             # keeps a NaN that comes first in its cone
@@ -108,18 +115,18 @@ def _build_directed(x, y, k: int, family: str) -> np.ndarray:
         else:
             key = _norm(dx, dy).take(at)
         hit = key == np.minimum.reduceat(key, heads)[run]
-        # the smallest flat index among a run's minima is its smallest column
-        picks.append(np.minimum.reduceat(np.where(hit, at, angle.size), heads)
-                     + (g0 * n + u0) * n)
+        # a run's smallest flat index among its minima is its smallest column,
+        # and a repeated candidate comes after the original
+        pick = np.minimum.reduceat(np.where(hit, at, angle.size), heads)[cone > 0]
+        # flat index r*m + j to key u*n + cols[u, j]: in the shared row, index + u0*n
+        picks.append(pick + u0 * n if len(cols) == 1
+                     else (np.arange(u0 * n, u1 * n, n)[:, None] + c).take(pick))
     return np.sort(np.concatenate(picks))
 
 
-def _row_blocks(sets: int, n: int, size: int) -> list[tuple[int, int, int, int]]:
-    """Blocks (g0, g1, u0, u1), source rows u0..u1-1 of node sets g0..g1-1
-    of `sets` sets of n nodes, each holding about `size` ordered pairs: as
-    many whole sets as fit, or else a run of one set's rows."""
-    if n * n <= size:
-        step = size // (n * n)
-        return [(g0, min(g0 + step, sets), 0, n) for g0 in range(0, sets, step)]
-    step = max(1, size // n)
-    return [(g, g + 1, u0, min(u0 + step, n)) for g in range(sets) for u0 in range(0, n, step)]
+def _own_slots(cols, u0: int, u1: int):
+    """Index of u's own slots in the flattened rows u0..u1-1 of the candidate
+    table cols; in the shared row np.arange(n)[None], column u."""
+    if len(cols) == 1:
+        return slice(u0, None, cols.shape[1] + 1)
+    return (cols[u0:u1] == np.arange(u0, u1)[:, None]).reshape(-1)

@@ -154,12 +154,12 @@ def search_counterexample(
 
     Trial 1 is built and scanned on its own. Later trials may be
     evaluated speculatively: they are drawn in batches of 2, 4, 8, ...
-    trials, and each batch is built and scanned at once, node sets of
-    one size together. The first trial of a batch with a void is
-    rebuilt and confirmed by check_void_free. The draws come from the
-    same random stream in the same order as one trial at a time, so
-    the reported trials and nodes are those of the first trial with a
-    void; draws past it are discarded.
+    trials, and each batch, whatever its sets' sizes, is built in one
+    kernel pass and scanned in one. The first trial of a batch with a
+    void is rebuilt and confirmed by check_void_free. The draws come
+    from the same random stream in the same order as one trial at a
+    time, so the reported trials and nodes are those of the first trial
+    with a void; draws past it are discarded.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -206,26 +206,22 @@ def _integer(value, name: str) -> int:
 
 def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:
     """Index of the first drawn node set in batch, given by its flat
-    coordinates, whose family-k graph has a void, or None. Sets of one
-    size are built and scanned together, as one batch of the construction
-    kernel and of the pair scan."""
-    sizes: dict[int, list[int]] = {}
-    for i, coords in enumerate(batch):
-        sizes.setdefault(len(coords) // 2, []).append(i)
-    first = None
-    for n, at in sizes.items():
-        if first is not None and at[0] > first:
-            continue
-        xy = np.array([batch[i] for i in at])
-        x, y = xy[:, 0::2], xy[:, 1::2]
-        directed = _build_directed(x, y, k, family)
-        csr = _csr(_symmetric_keys(directed, n), n, len(at))
-        block = next(_void_witnesses(_distances(x, y), *csr), None)
-        if block is not None:  # its first witness is in the first graph with a void
-            r0, mask = block[:2]
-            i = at[(r0 + mask.argmax() // n) // n]
-            first = i if first is None else min(first, i)
-    return first
+    coordinates, whose family-k graph has a void, or None, from one pass of
+    the construction kernel and one of the pair scan over the whole batch.
+    Each node's candidates are its set's nodes, padded to the largest set's
+    size by repeating the set's last node, which changes no pick or minimum."""
+    sizes = [len(coords) // 2 for coords in batch]
+    ends = np.cumsum(sizes)
+    cols = np.minimum((ends - sizes)[:, None] + np.arange(max(sizes)), ends[:, None] - 1)
+    cols = cols.repeat(sizes, axis=0)
+    xy = np.fromiter(chain.from_iterable(batch), float)
+    x, y = xy[0::2], xy[1::2]
+    keys = _symmetric_keys(_build_directed(x, y, cols, k, family), len(x))
+    block = next(_void_witnesses(_distances(x, y, cols), cols, *_csr(keys, len(x))), None)
+    if block is None:
+        return None
+    r0, mask = block[:2]  # its first witness is in the first set with a void
+    return int(ends.searchsorted(r0 + mask.argmax() // cols.shape[1], side="right"))
 
 
 def _confirmed(g, trials: int) -> SearchResult:

@@ -1,7 +1,7 @@
 """Node sets, geometric graphs, routing/void result records, and their
-JSON/CSV serialization. Every array distance (the distance matrix, the
-construction kernel's Yao keys, the relay checks) goes through _norm,
-the array form of distance."""
+JSON/CSV serialization. Every array distance goes through _norm, the
+array form of distance: _distances (the distance matrix, and the search
+batch's candidate distances), the kernel's Yao keys and the relay checks."""
 
 import csv
 import io
@@ -155,7 +155,7 @@ class GeometricGraph:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices): u's out-neighbors, which are its neighbors
         when undirected, are indices[indptr[u]:indptr[u + 1]], ascending."""
-        return _csr(self.keys, len(self.nodes), 1)
+        return _csr(self.keys, len(self.nodes))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -185,7 +185,8 @@ class GeometricGraph:
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:
-        return _distances(*self.nodes.coordinates())
+        x, y = self.nodes.coordinates()
+        return _distances(x, y, np.arange(len(x))[None])
 
     @cached_property
     def _dist_rows(self) -> list[list[float]]:
@@ -298,28 +299,25 @@ def graphs_equal(g1: GeometricGraph, g2: GeometricGraph) -> bool:
 
 
 def _symmetric_keys(keys, n: int) -> np.ndarray:
-    """Sorted directed keys of one graph or of a batch of graphs on n nodes
-    each, merged with their reverses, each key once: the undirected keys.
-    Key (g*n + u)*n + v reverses to (g*n + v)*n + u."""
-    rows, v = np.divmod(keys, n)
-    keys = np.concatenate((keys, keys + (v - rows % n) * (n - 1)))
+    """Sorted directed keys u*n + v merged with their reverses v*n + u, each
+    key once: the undirected keys."""
+    u, v = np.divmod(keys, n)
+    keys = np.concatenate((keys, keys + (v - u) * (n - 1)))
     keys.sort()
     return _distinct(keys)
 
 
-def _csr(keys, n: int, graphs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the sorted keys (g*n + u)*n + v of a batch of
-    graphs on n nodes each: the targets of source row g*n + u, as rows
-    g*n + v, are indices[indptr[g*n + u]:indptr[g*n + u + 1]]."""
-    indptr = keys.searchsorted(np.arange(0, graphs * n * n + 1, n))
-    return indptr, keys // (n * n) * n + keys % n
+def _csr(keys, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the sorted flat keys u*n + v: u's targets are
+    indices[indptr[u]:indptr[u + 1]]."""
+    return keys.searchsorted(np.arange(0, n * n + 1, n)), keys % n
 
 
-def _distances(x, y) -> np.ndarray:
-    """Pairwise Euclidean distances of the points in each row of the float
-    coordinate arrays x and y: shape (..., n) gives (..., n, n). Built in
-    place, so two n x n arrays are alive at once."""
-    return _norm(x[..., :, None] - x[..., None, :], y[..., :, None] - y[..., None, :])
+def _distances(x, y, cols) -> np.ndarray:
+    """Distances [u, j] = d(u, cols[u, j]) of the nodes at x, y to their
+    candidates (see construct._build_directed). Built in place, so two
+    arrays of the result's size are alive at once."""
+    return _norm(x.take(cols) - x[:, None], y.take(cols) - y[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +329,12 @@ def node_set_to_dict(nodes: NodeSet) -> dict:
 
 
 def node_set_from_dict(data: dict) -> NodeSet:
+    """Inverse of node_set_to_dict; coordinates must be JSON numbers."""
     try:
-        entries = data["nodes"]
-        return NodeSet((e["id"], Point(float(e["x"]), float(e["y"]))) for e in entries)
-    except (KeyError, TypeError, OverflowError) as exc:
+        nodes = [(e["id"], Point(e["x"], e["y"])) for e in data["nodes"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed node-set data: {exc}") from exc
+    return NodeSet(nodes)
 
 
 def node_set_to_json(nodes: NodeSet) -> str:

@@ -4,16 +4,13 @@ behind the k >= 6 guarantees.
 A graph is void-free when every node u has, for every other node v,
 some neighbor strictly closer to v than u itself. The exhaustive pair
 scan is the reference semantics. It works on blocks of source rows: per
-block it folds in the distance-matrix rows of each source's neighbors,
-a few neighbor slots at a time, keeping every target's minimum, so
-has_void stops after the first block that holds a witness. Like the
-construction kernel, the scan has a leading batch axis: it takes the
-(B, n, n) distance matrices and the CSR of B graphs on n nodes each,
-whose rows g*n + u never reach into another graph, and yields witnesses
-in (g, u, v) order. check_void_free and has_void scan one graph (B = 1);
-the counterexample search scans many small graphs at once and reads the
-first graph with a void from the first witness. check_by_routing is an
-independent oracle through greedy forwarding.
+block it folds in the distance rows of each source's neighbors, a few
+neighbor slots at a time, keeping every target's minimum, so has_void
+stops after the first block that holds a witness. Like the construction
+kernel, it reads each node's targets from a candidate table, so one pass
+covers one graph (check_void_free, has_void) or the counterexample
+search's batch of small graphs. check_by_routing is an independent
+oracle through greedy forwarding.
 
 The cone-relay checks also run over blocks of source rows, so no step
 makes a per-pair Python call. Like the construction kernel, they take
@@ -30,7 +27,7 @@ import numpy as np
 # through this module's namespace, so the name stays importable
 from .geometry import _bisectors, _check_k, _cones, _ranks, cone_of  # noqa: F401
 from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness, _norm
-from .construct import _BLOCK_PAIRS, _row_blocks, build_directed_theta, build_directed_yao
+from .construct import _BLOCK_PAIRS, _own_slots, build_directed_theta, build_directed_yao
 from .routing import greedy_route
 
 # Distance-matrix entries per pair-scan gather. A block of
@@ -75,42 +72,40 @@ def has_void(g: GeometricGraph) -> bool:
 def _scan(g: GeometricGraph):
     if g.directed:
         raise ValueError("void-freeness is defined on the undirected graph")
-    return _void_witnesses(g.dist_matrix[None], *g.csr)
+    return _void_witnesses(g.dist_matrix, np.arange(len(g.nodes))[None], *g.csr)
 
 
-def _void_witnesses(dist, indptr, indices):
-    """The pair scan over B undirected graphs on n nodes each: dist holds
-    their (B, n, n) distance matrices, and indptr, indices the CSR of
-    their keys (model._csr), whose source and target rows are g*n + u.
-    Computes one block of source rows at a time, in order, and yields
-    each block that holds a witness as (r0, mask, d, best): its first
-    row r0 and, over its rows r0 + r and targets v, mask[r, v] marking
-    the witnesses, d[r, v] = d(u, v) and best[r, v], the distance to v
-    of u's neighbor nearest to v."""
-    graphs, n = dist.shape[:2]
-    if n < 2:
-        return
-    dist = dist.reshape(-1, n)  # row g*n + u: node u's distances in graph g
+def _void_witnesses(dist, cols, indptr, indices):
+    """The pair scan over undirected graphs, each of whose nodes has the same
+    row in the candidate table cols (see construct._build_directed):
+    dist[u, j] = d(u, cols[u, j]), and indptr, indices are the keys' CSR.
+    Yields each block of source rows that holds a witness, in order, as
+    (r0, mask, d, best): over rows u = r0 + r and columns j, mask marks the
+    witnesses (u, cols[u, j]), d[r, j] = dist[u, j], and best[r, j] is the
+    distance to cols[u, j] of u's neighbor nearest to it."""
+    n, m = dist.shape
     deg = indptr[1:] - indptr[:-1]
     width = max(1, int(deg.max()))
-    # nb[r] is row r's neighbor rows, padded to the largest degree with its
-    # own last neighbor, which cannot change a minimum; an isolated row
-    # gets an arbitrary one and +inf below
+    # nb[u] is u's neighbors, padded to the largest degree with its own last
+    # neighbor, which cannot change a minimum; an isolated node gets an
+    # arbitrary one and +inf below
     at = np.minimum(indptr[:-1, None] + np.arange(width), indptr[1:, None] - 1)
-    nb = indices.take(at, mode="clip") if indices.size else np.zeros((len(dist), width), np.intp)
-    for g0, g1, u0, u1 in _row_blocks(graphs, n, _SCAN_BLOCK):
-        r0, r1 = g0 * n + u0, (g1 - 1) * n + u1
-        # best[r, v] is the distance to v of row r's neighbor nearest to v.
-        # The block gathers `step` neighbor slots at a time, at most
-        # _SCAN_BLOCK entries; slots past its largest degree hold padding only
-        step = max(1, _SCAN_BLOCK // ((r1 - r0) * n))
-        best = dist.take(nb[r0:r1, :step], axis=0).min(axis=1)
+    nb = indices.take(at, mode="clip") if indices.size else np.zeros((n, width), np.intp)
+    rows = max(1, _SCAN_BLOCK // m)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        # best[r, j] is the distance to cols[u, j] of u's neighbor nearest to
+        # it, from the neighbors' rows, which list u's candidates too. Gathers
+        # take `step` slots, slot-major for a fast min, at most _SCAN_BLOCK
+        # entries; slots past the block's largest degree hold padding only
+        step = max(1, _SCAN_BLOCK // ((r1 - r0) * m))
+        best = dist.take(nb[r0:r1, :step].T, axis=0).min(axis=0)
         for j in range(step, deg[r0:r1].max() if step < width else 0, step):
-            np.minimum(best, dist.take(nb[r0:r1, j:j + step], axis=0).min(axis=1), out=best)
+            np.minimum(best, dist.take(nb[r0:r1, j:j + step].T, axis=0).min(axis=0), out=best)
         best[deg[r0:r1] == 0] = np.inf
         d = dist[r0:r1]
         mask = best >= d
-        mask.reshape(g1 - g0, -1)[:, u0::n + 1] = False  # u == v
+        mask.reshape(-1)[_own_slots(cols, r0, r1)] = False  # u == v
         if np.count_nonzero(mask):
             yield r0, mask, d, best
 
@@ -201,7 +196,9 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
     x, y = nodes.coordinates()
     measure = "distance" if family == YAO else "projection"
     violations = []
-    for _, _, r0, r1 in _row_blocks(1, n, _BLOCK_PAIRS):
+    rows = max(1, _BLOCK_PAIRS // n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
         b = r1 - r0
         # dx, dy are v - u for source rows u and target columns v
         dx = x - x[r0:r1, None]

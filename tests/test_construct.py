@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from conegraph import construct
 from conegraph.construct import (
     _BLOCK_PAIRS,
     _build_directed,
@@ -314,24 +315,33 @@ def test_kernel_picks_one_node_per_cone_when_differences_overflow():
 
 
 # ---------------------------------------------------------------------------
-# the kernel's batch axis
+# node sets of mixed sizes in one kernel call
 
 
-def batch_coordinates(node_sets):
-    """(B, n) x and y arrays of B node sets of one size."""
-    xy = [ns.coordinates() for ns in node_sets]
-    return np.array([x for x, _ in xy]), np.array([y for _, y in xy])
+def candidate_table(sizes):
+    """The counterexample search's candidate table for node sets of these
+    sizes, numbered one set after another: each node's row is its set's
+    nodes, padded to the largest size by repeating the set's last node."""
+    ends = np.cumsum(sizes)
+    rows = np.minimum((ends - sizes)[:, None] + np.arange(max(sizes)), ends[:, None] - 1)
+    return rows.repeat(sizes, axis=0)
 
 
 def assert_batch_matches_per_graph(node_sets, k, family):
-    """The kernel over a batch picks exactly the keys build_directed_*
-    picks for each set alone, set after set, as (g*n + u)*n + v: no key
-    is stray, repeated or out of range."""
-    n = len(node_sets[0])
-    keys = _build_directed(*batch_coordinates(node_sets), k, family)
+    """The kernel over node sets of any sizes, numbered one set after
+    another with the search's candidate table, picks exactly the keys
+    build_directed_* picks for each set alone, set after set, as u*N + v
+    over all N nodes: no key is stray, repeated or out of range."""
+    sizes = [len(ns) for ns in node_sets]
+    x, y = (np.concatenate(c) for c in zip(*(ns.coordinates() for ns in node_sets)))
+    n = len(x)
+    keys = _build_directed(x, y, candidate_table(sizes), k, family)
     builder = build_directed_yao if family == "yao" else build_directed_theta
-    want = np.concatenate([builder(ns, k).keys + g * n * n for g, ns in enumerate(node_sets)])
-    assert keys.tolist() == want.tolist(), (family, k)
+    want = []
+    for ns, start in zip(node_sets, np.cumsum(sizes) - sizes):
+        u, v = np.divmod(builder(ns, k).keys, len(ns))
+        want.append((u + start) * n + v + start)
+    assert keys.tolist() == np.concatenate(want).tolist(), (family, k)
 
 
 def turned(coords, quarter_turns):
@@ -340,14 +350,19 @@ def turned(coords, quarter_turns):
     return coords
 
 
+ONE_AND_TWO_NODE_SETS = [[(0, 0)], [(0, 0), (0, 1)], [(0, 0), (3, -1e-9)], [(0, 0), (-1, 0)],
+                         [(2, 2), (1, 1)]]
+
+
 @pytest.mark.parametrize("family", ["yao", "theta"])
 def test_batch_matches_per_graph_on_lattices(family):
-    # 144 nodes: one set's n*n pairs exceed a block, so each set is cut into
-    # runs of rows, and runs never mix sets
+    # 144 nodes: one set's rows exceed a block, so blocks cut through sets
     lattice = [(x, y) for x in range(12) for y in range(12)]
     assert len(lattice) ** 2 > _BLOCK_PAIRS
     sets = [nodes_at(turned(lattice, q)) for q in range(3)]
+    sets.insert(1, nodes_at(lattice[:30]))
     sets.append(nodes_at([(x + 0.5 * (y % 2), y * 0.75) for x, y in lattice]))
+    sets[2:2] = map(nodes_at, ONE_AND_TWO_NODE_SETS)
     for k in (1, 2, 4, 5, 6, 12):
         assert_batch_matches_per_graph(sets, k, family)
 
@@ -357,15 +372,30 @@ def test_batch_matches_per_graph_on_rays_ties_and_two_nodes(family):
     rays = [(0, 0)] + [(r * dx, r * dy) for r in (1, 2)
                        for dx, dy in ((0, 1), (1, 1), (1, 0), (1, -1),
                                       (0, -1), (-1, -1), (-1, 0), (-1, 1))]
-    twos = [[(0, 0), (0, 1)], [(0, 0), (3, -1e-9)], [(0, 0), (-1, 0)], [(2, 2), (1, 1)]]
+    sets = [nodes_at(turned(rays, q)) for q in range(4)]
+    sets[1:1] = map(nodes_at, ONE_AND_TWO_NODE_SETS)
+    sets.append(nodes_at(rays[:5]))
     for k in list(range(1, 17)) + [10**9, 10**18]:
-        assert_batch_matches_per_graph([nodes_at(turned(rays, q)) for q in range(4)], k, family)
-        assert_batch_matches_per_graph([nodes_at(c) for c in twos], k, family)
+        assert_batch_matches_per_graph(sets, k, family)
+        assert_batch_matches_per_graph(list(map(nodes_at, ONE_AND_TWO_NODE_SETS)), k, family)
 
 
 def test_batch_matches_per_graph_on_random_sets():
     rng = random.Random(7)
     for trial in range(300):
-        n = rng.randint(2, 12)
-        sets = [random_nodeset(n, seed=1000 * trial + b) for b in range(rng.randint(1, 40))]
+        sets = [random_nodeset(rng.randint(1, 12), seed=1000 * trial + b)
+                for b in range(rng.randint(1, 40))]
         assert_batch_matches_per_graph(sets, rng.randint(1, 8), rng.choice(["yao", "theta"]))
+
+
+@pytest.mark.parametrize("block", [_BLOCK_PAIRS, 1, 500])
+def test_batch_of_mixed_sizes_across_kernel_blocks(monkeypatch, block):
+    # blocks of many rows, of one row, and of a few rows: each cuts through
+    # sets of other sizes, 1- and 2-node sets included
+    monkeypatch.setattr(construct, "_BLOCK_PAIRS", block)
+    rng = random.Random(12)
+    sizes = [1, 2, 40] + [rng.randint(1, 40) for _ in range(45)]
+    sets = [random_nodeset(n, seed=300 + b) for b, n in enumerate(sizes)]
+    assert sum(sizes) * max(sizes) > 2 * _BLOCK_PAIRS
+    for family, k in (("yao", 1), ("yao", 6), ("theta", 3), ("theta", 7)):
+        assert_batch_matches_per_graph(sets, k, family)

@@ -1,6 +1,7 @@
 """Tests for the shipped counter-example corpus and the randomized
 counterexample search."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -410,3 +411,40 @@ def test_batch_verdict_is_confirmed_by_the_scan(monkeypatch):
     monkeypatch.setattr(corpus, "_first_void", lambda batch, family, k: 0)
     with pytest.raises(RuntimeError, match="trial 2 is not confirmed"):
         search_counterexample("yao", 5, seed=1, budget=3)
+
+
+@pytest.mark.parametrize("family, k, seed, budget, trials", [
+    ("yao", 1, 0, 100, 1),  # a void at trial 1, before any batch
+    ("yao", 3, 0, 100, 5),  # a void in the batch of trials 4..7
+    ("theta", 5, 0, np.int64(100), 100),  # the budget runs out
+])
+def test_search_reports_trials_as_a_plain_int(family, k, seed, budget, trials):
+    result = search_counterexample(family, k, seed=seed, budget=budget)
+    assert result.trials == trials and type(result.trials) is int
+    assert json.dumps(result.trials) == str(trials)
+
+
+def test_search_batch_of_mixed_sizes_is_one_kernel_and_one_scan_pass(monkeypatch):
+    calls, sizes = [], []
+
+    def counted(name):
+        real = getattr(corpus, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("_build_directed", "_void_witnesses"):
+        monkeypatch.setattr(corpus, name, counted(name))
+    real_first_void = corpus._first_void
+
+    def first_void(batch, family, k):
+        sizes.append({len(coords) // 2 for coords in batch})
+        return real_first_void(batch, family, k)
+
+    monkeypatch.setattr(corpus, "_first_void", first_void)
+    assert outcome(search_counterexample("yao", 5, seed=1, budget=20)) == (20, None)
+    # batches of 2, 4, 8 and 5 trials; the last three mix 2 to 5 set sizes
+    assert [len(s) for s in sizes] == [1, 3, 5, 2]
+    assert calls == ["_build_directed", "_void_witnesses"] * len(sizes)

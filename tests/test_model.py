@@ -437,6 +437,14 @@ def test_node_set_json_rejects_garbage():
         node_set_from_json('{"nodes": [{"id": "a", "x": 1%s, "y": 0}]}' % ("0" * 400))
 
 
+@pytest.mark.parametrize("x", ["true", '" 2e0 "', '"1_000"', "null", "[1]"])
+def test_node_set_json_coordinates_must_be_numbers(x):
+    with pytest.raises(ValueError, match="malformed node-set data"):
+        node_set_from_json('{"nodes": [{"id": "a", "x": %s, "y": 0}]}' % x)
+    with pytest.raises(ValueError, match="malformed node-set data"):
+        node_set_from_json('{"nodes": [{"id": "a", "x": 0, "y": %s}]}' % x)
+
+
 def test_graph_json_round_trip():
     ns = random_nodeset(15, seed=13)
     for build_directed, k, directed in itertools.product(

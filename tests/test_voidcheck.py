@@ -10,7 +10,7 @@ from conegraph import voidcheck
 from conegraph.construct import build, build_directed_yao
 from conegraph.corpus import load_corpus, random_nodeset
 from conegraph.geometry import TAU, Point, bisector_projection, cone_of
-from conegraph.model import GeometricGraph, NodeSet, VoidWitness, _csr, distance
+from conegraph.model import GeometricGraph, NodeSet, VoidWitness, _csr, _distances, distance
 from conegraph.routing import greedy_route
 from conegraph.voidcheck import (
     VoidReport,
@@ -144,15 +144,31 @@ def test_has_void_agrees_with_full_scan(monkeypatch):
 
 
 def batch_witnesses(graphs):
-    """Run the pair scan once over a batch of undirected graphs on n nodes
-    each; returns every graph's witnesses, mapped back to its own nodes."""
-    n = len(graphs[0].nodes)
-    dist = np.array([g.dist_matrix for g in graphs])
-    keys = np.concatenate([g.keys + b * n * n for b, g in enumerate(graphs)])
+    """Run the pair scan once over undirected graphs of any sizes, numbered
+    one graph after another with the counterexample search's candidate
+    table: each node's row is its graph's nodes, padded to the largest size
+    by repeating the graph's last node. Returns every graph's witnesses,
+    mapped back to its own nodes."""
+    sizes = [len(g.nodes) for g in graphs]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    x, y = (np.concatenate(c) for c in zip(*(g.nodes.coordinates() for g in graphs)))
+    n = len(x)
+    cols = np.minimum(starts[:, None] + np.arange(max(sizes)), ends[:, None] - 1)
+    cols = cols.repeat(sizes, axis=0)
+    keys = []
+    for g, start in zip(graphs, starts):
+        u, v = np.divmod(g.keys, len(g.nodes))
+        keys.append((u + start) * n + v + start)
+    csr = _csr(np.concatenate(keys), n)
     found = [[] for _ in graphs]
-    for r0, mask, d, best in voidcheck._void_witnesses(dist, *_csr(keys, n, len(graphs))):
-        for r, v in zip(*mask.nonzero()):
-            found[(r0 + r) // n].append(VoidWitness((r0 + r) % n, v, d[r, v], best[r, v]))
+    for r0, mask, d, best in voidcheck._void_witnesses(_distances(x, y, cols), cols, *csr):
+        for r, j in zip(*mask.nonzero()):
+            u = r0 + r
+            b = int(starts.searchsorted(u, side="right")) - 1
+            if j < sizes[b]:  # later columns repeat the graph's last node
+                v = cols[u, j] - starts[b]
+                found[b].append(VoidWitness(u - starts[b], v, d[r, j], best[r, j]))
     return found
 
 
@@ -163,21 +179,26 @@ def test_batch_scan_matches_per_graph(monkeypatch):
         for i, (dx, dy) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1),
                                       (0, -1), (-1, -1), (-1, 0), (-1, 1)))])
     ns = random_nodeset(12, seed=21)
+    small = ([build(random_nodeset(1, seed=0), "yao", 1)]
+             + [build(random_nodeset(2, seed=s), "yao", 1) for s in range(3)]
+             + [GeometricGraph("yao", 2, False, random_nodeset(2, seed=9), ())])
     batches = [
-        [build(lattice, family, k) for family in ("yao", "theta") for k in (1, 4, 6, 10**18)],
-        [build(rays, family, k) for family in ("yao", "theta") for k in (1, 2, 3, 5, 8, 10**18)],
-        [build(random_nodeset(2, seed=s), "yao", 1) for s in range(3)]
-        + [GeometricGraph("yao", 2, False, random_nodeset(2, seed=9), ())],
+        [build(lattice, family, k) for family in ("yao", "theta") for k in (1, 4, 6, 10**18)]
+        + small,
+        small[::-1]
+        + [build(rays, family, k) for family in ("yao", "theta") for k in (1, 2, 3, 5, 8, 10**18)],
         # a star, an isolated-node path and an empty graph: most slots are padding
         [GeometricGraph("yao", 12, False, ns, tuple((0, j) for j in range(1, 12))),
+         small[0],
          GeometricGraph("yao", 2, False, ns, ((1, 2), (2, 3), (3, 5), (5, 9))),
          GeometricGraph("yao", 2, False, ns, ()),
+         small[1],
          build(ns, "theta", 2)],
-        [build(random_nodeset(6, seed=s), "yao" if s % 2 else "theta", 1 + s % 5)
+        [build(random_nodeset(1 + s % 8, seed=s), "yao" if s % 2 else "theta", 1 + s % 5)
          for s in range(100)],
     ]
     expected = [[list(check_void_free(g).witnesses) for g in batch] for batch in batches]
-    assert all(any(w) and not all(w) for w in expected[:2])
+    assert all(any(w) and not all(w) for w in expected)
     # the default, one row per block, and blocks of a few rows
     for block in (voidcheck._SCAN_BLOCK, 1, 500):
         monkeypatch.setattr(voidcheck, "_SCAN_BLOCK", block)

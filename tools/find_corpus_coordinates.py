@@ -223,6 +223,7 @@ def main() -> int:
     args = parser.parse_args()
     names = [args.entry] if args.entry else sorted(ENTRIES)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the search, which takes a while
     failed = []
     for name in names:
         found = find(name, args.seed, args.budget)
