@@ -7,14 +7,16 @@ broken deterministically by smallest node index; a cone whose every key
 is +inf picks its smallest index too.
 
 Construction runs a numpy kernel over blocks of source rows, each holding
-about _BLOCK_PAIRS = 2**14 candidate pairs. It sorts each row by angle, so
-that every cone is one contiguous run, and takes each run's minimum. A
-block's transient arrays stay near 1.5 MiB whatever n and k are. The
-kernel computes no formula itself: cones and bisectors come from
-geometry._cones and geometry._bisectors, Yao keys from model._norm, the
-array forms of geometry.cone_of, geometry.bisector_projection and
-model.distance. The tests compare it edge for edge with a per-pair
-scalar cone scan.
+about _BLOCK_PAIRS = 2**14 candidate pairs. A stable sort of each row by
+cone index makes every cone one contiguous run, columns ascending, and
+each run's first minimum is its pick. Rows of more than 24 candidates sort
+the cones as uint16 (k < 2**16), which numpy sorts by radix; in shorter
+rows its float sort is faster. A block's transient arrays stay near
+1.5 MiB whatever n and k are. The kernel computes no formula itself:
+cones and bisectors come from geometry._cones and geometry._bisectors,
+Yao keys from model._norm, the array forms of geometry.cone_of,
+geometry.bisector_projection and model.distance. The tests compare it
+edge for edge with a per-pair scalar cone scan.
 
 The kernel reads each node's candidates from a table (_build_directed).
 build_directed_yao and build_directed_theta pass one shared row, a node
@@ -89,15 +91,12 @@ def _build_directed(x, y, cols, k: int, family: str) -> np.ndarray:
         # dx, dy are v - u for source rows u and their candidates v
         dx = x.take(c) - x[u0:u1, None]
         dy = y.take(c) - y[u0:u1, None]
-        angle, cone = _cones(dx, dy, k)
+        cone = _cones(dx, dy, k)
         # u's own slots sort first, as a run of cone 0 whose pick is dropped
-        own = _own_slots(cols, u0, u1)
-        angle.reshape(-1)[own] = -1.0
-        cone.reshape(-1)[own] = 0.0
-        # The cone index is non-decreasing in the angle, so along each row's
-        # angular order every cone is one contiguous run.
-        at = angle.argsort(axis=1)
-        at += np.arange(0, angle.size, m)[:, None]
+        cone.reshape(-1)[_own_slots(cols, u0, u1)] = 0.0
+        # each row, stable: every cone is one run with its columns ascending
+        at = (cone.astype(np.uint16) if m > 24 and k < 1 << 16 else cone).argsort(kind="stable")
+        at += np.arange(0, cone.size, m)[:, None]
         at = at.reshape(-1)
         cone = cone.take(at)
         runs = np.empty(at.size, bool)
@@ -114,10 +113,10 @@ def _build_directed(x, y, cols, k: int, family: str) -> np.ndarray:
             np.fmin(key, np.inf, out=key)
         else:
             key = _norm(dx, dy).take(at)
-        hit = key == np.minimum.reduceat(key, heads)[run]
-        # a run's smallest flat index among its minima is its smallest column,
-        # and a repeated candidate comes after the original
-        pick = np.minimum.reduceat(np.where(hit, at, angle.size), heads)[cone > 0]
+        # each run's first minimum is at its smallest column, and a repeated
+        # candidate comes after the original; every run holds a minimum
+        hit = (key == np.minimum.reduceat(key, heads)[run]).nonzero()[0]
+        pick = at.take(hit[hit.searchsorted(heads[cone > 0])])
         # flat index r*m + j to key u*n + cols[u, j]: in the shared row, index + u0*n
         picks.append(pick + u0 * n if len(cols) == 1
                      else (np.arange(u0 * n, u1 * n, n)[:, None] + c).take(pick))

@@ -9,8 +9,10 @@ clockwise-trailing ray, and every direction belongs to exactly one cone.
 All angle arithmetic is plain double precision: a point within an ulp of
 a cone boundary belongs to whatever cone the formula yields.
 
-The array forms _cones and _bisectors, which the construction kernel and
-the relay checks call, take cone_of's and _bisector's steps bit for bit.
+The array forms _cones (cone indices, no angles) and _bisectors, which
+the construction kernel and the relay checks call, take cone_of's and
+_bisector's steps. numpy's arctan2 can round an angle an ulp away from
+math.atan2, so near a cone boundary _cones and cone_of may disagree.
 """
 
 import math
@@ -106,15 +108,14 @@ def _bisector(i, k: int) -> tuple[float, float]:
 
 
 def _cones(dx, dy, k: int):
-    """Clockwise angle from north and cone index of each direction (dx, dy),
-    by cone_of's double-precision steps; cones are integral floats in 1..k,
-    so nothing here is sized by k."""
-    angle = np.arctan2(dx, dy)
-    np.add(angle, TAU, out=angle, where=angle <= 0.0)
-    cone = np.ceil(angle * k / TAU)
-    np.maximum(cone, 1.0, out=cone)
-    np.minimum(cone, k, out=cone)
-    return angle, cone
+    """Cone index of each direction (dx, dy), as integral floats in 1..k, by
+    cone_of's steps in one buffer; adding +0.0 leaves a positive angle as is."""
+    cone = np.arctan2(dx, dy)
+    cone += (cone <= 0.0) * TAU
+    cone *= k
+    cone /= TAU
+    np.ceil(cone, out=cone)
+    return np.clip(cone, 1.0, k, out=cone)
 
 
 def _ranks(values):

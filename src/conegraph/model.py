@@ -194,7 +194,7 @@ class GeometricGraph:
         return self.dist_matrix.tolist()
 
     def dist(self, u: int, v: int) -> float:
-        return self._dist_rows[self._check_node(u)][self._check_node(v)]
+        return distance(*(self.nodes.points[self._check_node(i)] for i in (u, v)))
 
     def _check_node(self, u) -> int:
         """u as a plain int, if it is an integer (see _as_int) naming a node."""

@@ -203,7 +203,7 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
         # dx, dy are v - u for source rows u and target columns v
         dx = x - x[r0:r1, None]
         dy = y - y[r0:r1, None]
-        cone = _cones(dx, dy, k)[1]
+        cone = _cones(dx, dy, k)
         # ranking the cone values makes (row, cone) a dense slot whatever k is
         vals, rank = _ranks(cone)
         slots = b * len(vals)

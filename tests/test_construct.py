@@ -229,6 +229,13 @@ def nodes_at(coords):
     return NodeSet((f"p{i}", Point(x, y)) for i, (x, y) in enumerate(coords))
 
 
+# the origin sees points exactly on the N/E/S/W rays and the 45 degree
+# diagonals, two at each direction, so ties and cone boundaries meet
+RAYS = [(0, 0)] + [(r * dx, r * dy) for r in (1, 2)
+                   for dx, dy in ((0, 1), (1, 1), (1, 0), (1, -1),
+                                  (0, -1), (-1, -1), (-1, 0), (-1, 1))]
+
+
 @pytest.mark.parametrize("family", ["yao", "theta"])
 def test_kernel_matches_reference_on_lattice(family):
     lattice = nodes_at((x, y) for x in range(12) for y in range(12))
@@ -238,18 +245,13 @@ def test_kernel_matches_reference_on_lattice(family):
 
 @pytest.mark.parametrize("family", ["yao", "theta"])
 def test_kernel_matches_reference_on_boundary_rays_and_ties(family):
-    # the origin sees points exactly on the N/E/S/W rays and the 45 degree
-    # diagonals, two at each direction, so ties and cone boundaries meet
-    rays = [(0, 0)] + [(r * dx, r * dy) for r in (1, 2)
-                       for dx, dy in ((0, 1), (1, 1), (1, 0), (1, -1),
-                                      (0, -1), (-1, -1), (-1, 0), (-1, 1))]
     # every point but the centre is at distance 5 from it
     circle = [(0, 0), (5, 0), (0, 5), (-5, 0), (0, -5),
               (3, 4), (4, 3), (-3, 4), (4, -3), (-4, -3), (-3, -4)]
     collinear = [(i, 2 * i + 1) for i in range(-4, 5)]
     # angle * k / 2pi underflows to 0 for the first point; it is in cone 1
     tiny_angle = [(0, 0), (5e-324, 1.0), (0.5, 1.0), (-0.5, 1.0)]
-    for coords in (rays, circle, collinear, tiny_angle):
+    for coords in (RAYS, circle, collinear, tiny_angle):
         for k in range(1, 17):
             assert_matches_reference(nodes_at(coords), k, family)
 
@@ -369,12 +371,9 @@ def test_batch_matches_per_graph_on_lattices(family):
 
 @pytest.mark.parametrize("family", ["yao", "theta"])
 def test_batch_matches_per_graph_on_rays_ties_and_two_nodes(family):
-    rays = [(0, 0)] + [(r * dx, r * dy) for r in (1, 2)
-                       for dx, dy in ((0, 1), (1, 1), (1, 0), (1, -1),
-                                      (0, -1), (-1, -1), (-1, 0), (-1, 1))]
-    sets = [nodes_at(turned(rays, q)) for q in range(4)]
+    sets = [nodes_at(turned(RAYS, q)) for q in range(4)]
     sets[1:1] = map(nodes_at, ONE_AND_TWO_NODE_SETS)
-    sets.append(nodes_at(rays[:5]))
+    sets.append(nodes_at(RAYS[:5]))
     for k in list(range(1, 17)) + [10**9, 10**18]:
         assert_batch_matches_per_graph(sets, k, family)
         assert_batch_matches_per_graph(list(map(nodes_at, ONE_AND_TWO_NODE_SETS)), k, family)
@@ -399,3 +398,18 @@ def test_batch_of_mixed_sizes_across_kernel_blocks(monkeypatch, block):
     assert sum(sizes) * max(sizes) > 2 * _BLOCK_PAIRS
     for family, k in (("yao", 1), ("yao", 6), ("theta", 3), ("theta", 7)):
         assert_batch_matches_per_graph(sets, k, family)
+
+
+@pytest.mark.parametrize("k", [2**16 - 1, 2**16, 2**64 - 1, 2**70])
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_kernel_matches_reference_at_sort_key_boundaries(k, family):
+    # rows of more than 24 candidates sort cones as 16-bit integers below
+    # k = 2**16 and as floats from there on, and 2**64 - 1 rounds to 2**64 as
+    # a double. Lattice points due north of a node are in its cone k, which a
+    # 16-bit key would wrap to 0; the 17 ray points are a row of float keys.
+    lattice = [(x, y) for x in range(5) for y in range(6)]
+    sets = [nodes_at(lattice), nodes_at(turned(lattice, 1)), nodes_at(RAYS),
+            random_nodeset(60, seed=k % 997)]
+    for ns in sets:
+        assert_matches_reference(ns, k, family)
+    assert_batch_matches_per_graph(sets + list(map(nodes_at, ONE_AND_TWO_NODE_SETS)), k, family)

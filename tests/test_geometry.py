@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conegraph.geometry import (
     TAU,
     Point,
+    _cones,
     bisector_direction,
     bisector_projection,
     clockwise_angle_from_north,
@@ -169,6 +170,45 @@ def test_rotation_equivariance():
             before = cone_of(ORIGIN, p, k)
             after = cone_of(ORIGIN, rotated, k)
             assert after == before % k + 1
+
+
+def assert_array_cones_match_cone_of(directions, k):
+    dx, dy = (np.array(c) for c in zip(*directions))
+    want = [cone_of(ORIGIN, Point(x, y), k) for x, y in directions]
+    assert _cones(dx, dy, k).tolist() == want, k
+
+
+# signed zeros on both axes (so the four axis directions twice), and angles
+# of one subnormal either side of north and east of south
+SIGNED_AXES_AND_SUBNORMALS = [
+    (-0.0, 1.0), (0.0, 1.0), (1.0, -0.0), (1.0, 0.0),
+    (-0.0, -1.0), (0.0, -1.0), (-1.0, -0.0), (-1.0, 0.0),
+    (5e-324, 1.0), (-5e-324, 1.0), (5e-324, -1.0)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 7, 12, 2**16, 10**18])
+def test_array_cones_match_cone_of_elementwise(k):
+    assert_array_cones_match_cone_of(SIGNED_AXES_AND_SUBNORMALS, k)
+    # -0.0 - 0.0 keeps the sign, so the scalar side saw the signed zeros too
+    assert math.copysign(1.0, Point(-0.0, 1.0).x - ORIGIN.x) == -1.0
+    # north is cone k whichever the sign of its zero; a subnormal east of it
+    # lands in cone 1 (after the clamp when angle * k / 2pi underflows)
+    got = _cones(np.array([-0.0, 0.0, 5e-324]), np.array([1.0, 1.0, 1.0]), k)
+    assert got.tolist() == [k, k, 1]
+
+
+# numpy's array arctan2 may differ from math.atan2 by an ulp (numpy 2.4 on
+# x86-64 with AVX-512 does), and _cones takes numpy's
+RAY_MULTIPLES = [(math.sin(m * TAU / 12), math.cos(m * TAU / 12)) for m in range(12)]
+ATAN2_DIFFERS = (np.arctan2(*map(np.array, zip(*RAY_MULTIPLES))).tolist()
+                 != [math.atan2(x, y) for x, y in RAY_MULTIPLES])
+
+
+@pytest.mark.xfail(ATAN2_DIFFERS, reason="numpy's arctan2 rounds some angles differently "
+                   "from math.atan2, so _cones and cone_of can disagree", strict=False)
+def test_array_cones_match_cone_of_on_ray_multiples():
+    for k in (12, 10**18):
+        assert_array_cones_match_cone_of(RAY_MULTIPLES, k)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,16 @@ def test_distance_matches_matrix_bitwise():
             assert g.dist(i, j) == m[i, j]
 
 
+def test_dist_builds_no_distance_matrix():
+    # one lookup is one scalar distance, not the n x n matrix and its lists
+    ns = random_nodeset(30, seed=6)
+    g = build_directed_yao(ns, 6)
+    for i in range(30):
+        for j in range(30):
+            assert g.dist(i, j) == distance(ns.points[i], ns.points[j])
+    assert "dist_matrix" not in g.__dict__ and "_dist_rows" not in g.__dict__
+
+
 # ---------------------------------------------------------------------------
 # NodeSet
 
