@@ -7,6 +7,7 @@ error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,7 +39,11 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs about twenty
+    times what parsing one command line does, and parsing leaves it as it
+    was."""
     parser = argparse.ArgumentParser(
         prog="conegraph",
         description="Yao/Theta graph construction, greedy routing, and void detection.",

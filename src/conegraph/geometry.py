@@ -11,7 +11,7 @@ a cone boundary belongs to whatever cone the formula yields.
 
 The array forms _cones (cone indices, no angles) and _bisectors, which
 the construction kernel and the relay checks call, take cone_of's and
-_bisector's steps. numpy's arctan2 can round an angle an ulp away from
+_bisector's steps; _turns is _cones before the ceiling. numpy's arctan2 can round an angle an ulp away from
 math.atan2, so near a cone boundary _cones and cone_of may disagree.
 """
 
@@ -109,13 +109,21 @@ def _bisector(i, k: int) -> tuple[float, float]:
 
 def _cones(dx, dy, k: int):
     """Cone index of each direction (dx, dy), as integral floats in 1..k, by
-    cone_of's steps in one buffer; adding +0.0 leaves a positive angle as is."""
-    cone = np.arctan2(dx, dy)
-    cone += (cone <= 0.0) * TAU
-    cone *= k
-    cone /= TAU
+    cone_of's steps in one buffer."""
+    cone = _turns(dx, dy, k)
     np.ceil(cone, out=cone)
     return np.clip(cone, 1.0, k, out=cone)
+
+
+def _turns(dx, dy, k: int):
+    """angle * k / 2pi for each direction (dx, dy), the angle clockwise from
+    north in (0, 2pi] as cone_of computes it, in one buffer; its ceiling is
+    the direction's cone. Adding +0.0 leaves a positive angle as is."""
+    turns = np.arctan2(dx, dy)
+    turns += (turns <= 0.0) * TAU
+    turns *= k
+    turns /= TAU
+    return turns
 
 
 def _ranks(values):

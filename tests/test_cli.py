@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conegraph import cli
 from conegraph.cli import main
 from conegraph.corpus import load_corpus, random_nodeset
 from conegraph.model import node_set_to_csv, node_set_to_json
@@ -295,3 +296,31 @@ def test_outputs_byte_identical_across_runs(corpus_files, tmp_path, capsys):
         )
         svgs.append(out_path.read_bytes())
     assert svgs[0] == svgs[1]
+
+
+def test_one_parser_serves_calls_in_a_row(corpus_files, tmp_path, capsys):
+    # main reuses one cached parser; a check, a render and a usage error in
+    # a row give the exit codes, stdout and figure of calls on a freshly
+    # built one
+    svg = tmp_path / "fig.svg"
+    calls = [
+        ["check", "--input", corpus_files["V2"], "--family", "yao", "--k", "5"],
+        ["render", "--input", corpus_files["V2"], "--family", "yao", "--k", "5",
+         "--out", str(svg), "--highlight-pair", "u", "v"],
+        ["check", "--family", "yao"],
+    ]
+
+    def call(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        svg.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out, svg.read_bytes() if svg.exists() else None
+
+    in_a_row = [call(argv, fresh=False) for argv in calls]
+    assert [code for code, _, _ in in_a_row] == [1, 0, 2]
+    assert in_a_row == [call(argv, fresh=True) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()

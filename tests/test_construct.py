@@ -1,11 +1,15 @@
 """Tests for Yao/Theta construction against independent rescan oracles,
 and of the numpy kernel against the scalar per-pair cone scan."""
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conegraph import construct
 from conegraph.construct import (
@@ -19,6 +23,7 @@ from conegraph.construct import (
 from conegraph.corpus import random_nodeset
 from conegraph.geometry import Point, bisector_projection, cone_of
 from conegraph.model import GeometricGraph, NodeSet, distance, graph_to_json, graphs_equal
+from conegraph.voidcheck import check_theta_cone_relay, check_yao_cone_relay
 
 
 def rescan_pick(nodes, u, i, k, family):
@@ -282,7 +287,7 @@ def test_kernel_matches_reference_across_blocks(n):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**-495, 2.0**505])
 @pytest.mark.parametrize("family", ["yao", "theta"])
 def test_kernel_matches_reference_at_extreme_scales(scale, family):
     # squared differences underflow to 0 at 1e-200 and overflow to inf at
@@ -290,14 +295,30 @@ def test_kernel_matches_reference_at_extreme_scales(scale, family):
     ns = nodes_at([(0, 0), (scale, 0), (3 * scale, 0), (0, scale)])
     for k in range(1, 17):
         assert_matches_reference(ns, k, family)
+    # a set the grid path serves up to k = 6: at 2**-495 and 2**505 it runs
+    # the certificate, whose key and span bounds send the others to the
+    # shared row
+    x, y = random_nodeset(construct._GRID_CONE_NODES * 6, seed=45).coordinates()
+    coords = list(zip((x * scale).tolist(), (y * scale).tolist()))
+    for k in range(3, 7):
+        assert_grid_matches_shared_row(coords, k, family)
 
 
 @pytest.mark.parametrize("family", ["yao", "theta"])
-def test_kernel_memory_does_not_grow_with_k(family):
+def test_kernel_memory_does_not_grow_with_k(family, monkeypatch):
     # cones far outnumber nodes; a per-cone table would need k entries
     ns = random_nodeset(20, seed=43)
     for k in (10**9, 10**18):
         assert_matches_reference(ns, k, family)
+    # nor does the grid path's: with its size threshold at 0, only its cap
+    # on k keeps it from (rows, k) arrays
+    monkeypatch.setattr(construct, "_GRID_CONE_NODES", 0)
+    big = random_nodeset(400, seed=44)
+    x, y = big.coordinates()
+    builder = build_directed_yao if family == "yao" else build_directed_theta
+    for k in (10**9, 10**18):
+        assert builder(big, k).keys.tolist() == _build_directed(
+            x, y, np.arange(len(x))[None], k, family).tolist()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -413,3 +434,155 @@ def test_kernel_matches_reference_at_sort_key_boundaries(k, family):
     for ns in sets:
         assert_matches_reference(ns, k, family)
     assert_batch_matches_per_graph(sets + list(map(nodes_at, ONE_AND_TWO_NODE_SETS)), k, family)
+
+
+# ---------------------------------------------------------------------------
+# grid candidate tables against the shared row
+
+
+def assert_grid_matches_shared_row(coords, k, family):
+    """build_directed_*, with the grid path on at any size, gives the keys
+    of the shared-row kernel over all nodes."""
+    nodes = nodes_at(coords)
+    x, y = nodes.coordinates()
+    want = _build_directed(x, y, np.arange(len(x))[None], k, family)
+    builder = build_directed_yao if family == "yao" else build_directed_theta
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_GRID_CONE_NODES", 0)
+        got = builder(nodes, k).keys
+    assert got.tolist() == want.tolist(), (family, k, len(nodes))
+
+
+@st.composite
+def lattices(draw):
+    """Square, rotated square and hexagonal lattices: exact distance ties,
+    and many points on one another's cone rays."""
+    kind = draw(st.sampled_from(["square", "rotated", "hexagonal"]))
+    step = 2.0 ** draw(st.integers(-3, 3))
+    ij = [(i, j) for i in range(draw(st.integers(2, 14))) for j in range(draw(st.integers(2, 14)))]
+    if kind == "hexagonal":
+        return [((i + 0.5 * (j % 2)) * step, j * step * math.sqrt(3) / 2) for i, j in ij]
+    if kind == "rotated":
+        turn = draw(st.floats(0.0, math.tau))
+        c, s = math.cos(turn) * step, math.sin(turn) * step
+        return [(i * c - j * s, i * s + j * c) for i, j in ij]
+    return [(i * step, j * step) for i, j in ij]
+
+
+@st.composite
+def on_cell_edges(draw):
+    """2g**2 points of the lattice i/4g in the unit square, corners
+    included: the grid path's cells are then 1/g wide, up to rounding, so
+    their edges fall on or within an ulp of every fourth lattice line."""
+    g = draw(st.integers(2, 7))
+    grid = [(i / (4 * g), j / (4 * g)) for i in range(4 * g + 1) for j in range(4 * g + 1)]
+    inner = draw(st.lists(st.sampled_from(grid[1:-1]), min_size=2 * g * g - 2,
+                          max_size=2 * g * g - 2, unique=True))
+    return [grid[0], grid[-1], *inner]
+
+
+@st.composite
+def on_cone_rays(draw):
+    """Points on the cone rays of a few centres, at three distances, each
+    moved by up to three ulps per coordinate."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rays = draw(st.integers(3, 16))
+    centres = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=1, max_size=4, unique=True))
+
+    def nudge(v):
+        steps = rng.randint(-3, 3)
+        for _ in range(abs(steps)):
+            v = math.nextafter(v, math.copysign(math.inf, steps))
+        return v
+
+    points = {(float(cx), float(cy)): None for cx, cy in centres}
+    for cx, cy in centres:
+        for j in range(rays):
+            for r in (0.5, 1.0, 1.5):
+                t = j * math.tau / rays
+                points[nudge(cx + r * math.sin(t)), nudge(cy + r * math.cos(t))] = None
+    return list(points)
+
+
+@st.composite
+def clusters(draw):
+    """8 Gaussian clusters of sigma 0.01 in the unit square, as the
+    benchmark's `large` workload draws them."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    centres = [(0.1 + 0.8 * rng.random(), 0.1 + 0.8 * rng.random()) for _ in range(8)]
+    points = {}
+    for i in range(draw(st.integers(16, 240))):
+        cx, cy = centres[i % 8]
+        points[rng.gauss(cx, 0.01), rng.gauss(cy, 0.01)] = None
+    return list(points)
+
+
+# Exact rescalings. Below a span of 2**-500 and from 2**510 on, the grid path
+# hands the whole set to the shared row; anchoring a scaled-down set between
+# two far corners keeps the grid on, with keys below the certificate's floor.
+SCALES = [1.0, 2.0**-700, 2.0**-600, 2.0**600]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("points", [lattices(), on_cell_edges(), on_cone_rays(), clusters()],
+                         ids=["lattices", "cell_edges", "cone_rays", "clusters"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grid_matches_shared_row(points, data):
+    scale = data.draw(st.sampled_from(SCALES), "scale")
+    # a nudged zero underflows at 2**-600 and less: drop repeated points
+    coords = list(dict.fromkeys((x * scale, y * scale) for x, y in data.draw(points, "points")))
+    if scale != 1.0 and data.draw(st.booleans(), "anchored"):
+        coords += [(-2.0, -2.0), (2.0, 2.0)]
+    k = data.draw(st.integers(3, 16), "k")
+    for family in ("yao", "theta"):
+        assert_grid_matches_shared_row(coords, k, family)
+
+
+def large_sets(seed):
+    """The uniform and the clustered 1,000-node sets of the benchmark's
+    `large` workload for a seed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("large_workload", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [nodes_at((x, y) for _, x, y in rows) for rows in workloads.large_inputs(seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 8675309])
+def test_grid_matches_shared_row_on_large_sets(seed):
+    for nodes in large_sets(seed):
+        coords = [(p.x, p.y) for p in nodes.points]
+        # theta k = 3 has the widest cones, where lim = cos(pi/3 + _DELTA)
+        # matters most
+        for family, k in (("yao", 4), ("yao", 6), ("yao", 8), ("theta", 3), ("theta", 6)):
+            assert_grid_matches_shared_row(coords, k, family)
+        # an independent oracle: selection minimality in every cone, and
+        # one selected neighbor in every non-empty one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_GRID_CONE_NODES", 0)
+            for k in (6, 8):
+                assert check_yao_cone_relay(nodes, k) == []
+                assert check_theta_cone_relay(nodes, k) == []
+
+
+def test_grid_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatch):
+    # the equivalence tests would pass if every node fell through to the
+    # shared row; on the benchmark's sets the first round must certify most
+    # nodes, and few may reach the shared row
+    tabled, shared = [], []
+
+    def kernel(x, y, cols, k, family, src=None):
+        (shared if cols.shape == (1, len(x)) else tabled).append(len(src))
+        return _build_directed(x, y, cols, k, family, src)
+
+    monkeypatch.setattr(construct, "_build_directed", kernel)
+    uniform, clustered = large_sets(0)
+    for nodes, k, second_round, last in ((uniform, 6, 0.15, 0.05), (clustered, 4, 0.2, 0.15)):
+        tabled.clear()
+        shared.clear()
+        build_directed_yao(nodes, k)
+        n = len(nodes)
+        assert n <= sum(tabled) < (1 + second_round) * n
+        assert sum(shared) < last * n
