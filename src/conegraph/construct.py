@@ -14,9 +14,9 @@ the cones as uint16 (k < 2**16), which numpy sorts by radix; in shorter
 rows its float sort is faster. A block's transient arrays stay near
 1.5 MiB whatever n and k are. The kernel computes no formula itself:
 cones and bisectors come from geometry._cones and geometry._bisectors,
-Yao keys from model._norm, the array forms of geometry.cone_of,
-geometry.bisector_projection and model.distance. The tests compare it
-edge for edge with a per-pair scalar cone scan.
+which geometry.cone_of and geometry.bisector_projection run too, and Yao
+keys from model._norm, the array form of model.distance. The tests
+compare it edge for edge with a per-pair scalar cone scan.
 
 The kernel reads each node's candidates from a table (_build_directed).
 The counterexample search passes a batch of small sets of any sizes at
@@ -247,12 +247,12 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
 
 def _build_directed(x, y, cols, k: int, family: str, src=None):
     """The construction kernel over the n nodes at the flat coordinate
-    arrays x, y. Row r of the candidate table cols lists the candidates of
-    node r in ascending order, node r included; the one row
-    np.arange(n)[None] is every node's. Returns the picks as sorted flat
-    keys u*n + v. Given the source nodes src, row r lists node src[r]'s
-    candidates (a one-row table, every source's), and it returns the
-    sources' picks unsorted, as flat keys, with each pick's cone and key."""
+    arrays x, y. Without src, cols is the shared row np.arange(n)[None],
+    every node's candidates, and it returns the picks as sorted flat keys
+    u*n + v. Given the source nodes src, row r of the candidate table cols
+    (or its one row, shared by every source) lists node src[r]'s candidates
+    in ascending order, src[r] included, and it returns the sources' picks
+    unsorted, as flat keys, with each pick's cone and key."""
     n, m = len(x), cols.shape[1]
     step = max(1, _BLOCK_PAIRS // m)
     rows = n if src is None else len(src)
@@ -292,13 +292,11 @@ def _build_directed(x, y, cols, k: int, family: str, src=None):
         hit = (key == np.minimum.reduceat(key, heads)[run]).nonzero()[0]
         first = hit[hit.searchsorted(heads[cone > 0])]
         pick = at.take(first)
-        # flat index r*m + j to key u*n + cols[u, j]: in the shared row, index + u0*n
-        if src is not None:
-            picks.append((((u * n)[:, None] + c).take(pick), cone[cone > 0], key.take(first)))
-        elif len(cols) == 1:
+        if src is None:
+            # the block's flat index (u - u0)*n + v, plus u0*n, is the key u*n + v
             picks.append(pick + u0 * n)
         else:
-            picks.append((np.arange(u0 * n, u1 * n, n)[:, None] + c).take(pick))
+            picks.append((((u * n)[:, None] + c).take(pick), cone[cone > 0], key.take(first)))
     if src is not None:
         return tuple(map(np.concatenate, zip(*picks)))
     return np.sort(np.concatenate(picks))

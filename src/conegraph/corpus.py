@@ -216,7 +216,7 @@ def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:
     cols = cols.repeat(sizes, axis=0)
     xy = np.fromiter(chain.from_iterable(batch), float)
     x, y = xy[0::2], xy[1::2]
-    keys = _symmetric_keys(_build_directed(x, y, cols, k, family), len(x))
+    keys = _symmetric_keys(_build_directed(x, y, cols, k, family, np.arange(len(x)))[0], len(x))
     block = next(_void_witnesses(_distances(x, y, cols), cols, *_csr(keys, len(x))), None)
     if block is None:
         return None

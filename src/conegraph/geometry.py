@@ -9,10 +9,10 @@ clockwise-trailing ray, and every direction belongs to exactly one cone.
 All angle arithmetic is plain double precision: a point within an ulp of
 a cone boundary belongs to whatever cone the formula yields.
 
-The array forms _cones (cone indices, no angles) and _bisectors, which
-the construction kernel and the relay checks call, take cone_of's and
-_bisector's steps; _turns is _cones before the ceiling. numpy's arctan2 can round an angle an ulp away from
-math.atan2, so near a cone boundary _cones and cone_of may disagree.
+Each formula has one implementation, on numpy arrays: _angles (arctan2),
+_turns and _cones for cones, _bisectors for bisectors. The construction
+kernel and the relay checks call them on arrays, and the scalar functions
+call them on single values, so cone_of and the kernel always agree.
 """
 
 import math
@@ -54,14 +54,7 @@ def clockwise_angle_from_north(origin: Point, p: Point) -> float:
 
     Raises ValueError for coincident points (degenerate direction).
     """
-    dx = p.x - origin.x
-    dy = p.y - origin.y
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("degenerate direction: points coincide")
-    angle = math.atan2(dx, dy)
-    if angle <= 0.0:
-        angle += TAU
-    return angle
+    return float(_angles(*_direction(origin, p)))
 
 
 def cone_of(origin: Point, p: Point, k: int) -> int:
@@ -72,9 +65,9 @@ def cone_of(origin: Point, p: Point, k: int) -> int:
     belongs to the previous cone (the north ray belongs to cone k).
     """
     k = _check_k(k)
-    angle = clockwise_angle_from_north(origin, p)
-    # angle <= 2pi, but the product may overshoot k by rounding; clamp.
-    i = math.ceil(angle * k / TAU)
+    # angle <= 2pi, but the product may overshoot k by rounding, and a k
+    # above 2**53 may round up as a double; clamp to the integer range.
+    i = math.ceil(_turns(*_direction(origin, p), k))
     return min(max(i, 1), k)
 
 
@@ -84,7 +77,8 @@ def bisector_direction(i: int, k: int) -> tuple[float, float]:
     k, j = _check_k(k), _as_int(i)
     if j is None or not 1 <= j <= k:
         raise ValueError(f"cone index must be in 1..{k}, got {i!r}")
-    return _bisector(j, k)
+    bx, by = _bisectors(j, k)
+    return (float(bx), float(by))
 
 
 def bisector_projection(origin: Point, p: Point, i: int, k: int) -> float:
@@ -94,36 +88,48 @@ def bisector_projection(origin: Point, p: Point, i: int, k: int) -> float:
     half-angle is below pi/2); may be zero or negative for k <= 2.
     """
     bx, by = bisector_direction(i, k)
+    dx, dy = _direction(origin, p)
+    return dx * bx + dy * by
+
+
+def _direction(origin: Point, p: Point) -> tuple[float, float]:
     dx = p.x - origin.x
     dy = p.y - origin.y
     if dx == 0.0 and dy == 0.0:
         raise ValueError("degenerate direction: points coincide")
-    return dx * bx + dy * by
-
-
-def _bisector(i, k: int) -> tuple[float, float]:
-    # unchecked; i may be an integral float, as _bisectors has it
-    theta = (i - 0.5) * TAU / k
-    return (math.sin(theta), math.cos(theta))
+    return dx, dy
 
 
 def _cones(dx, dy, k: int):
-    """Cone index of each direction (dx, dy), as integral floats in 1..k, by
-    cone_of's steps in one buffer."""
+    """Cone index of each direction (dx, dy), as integral floats in 1..k, in
+    one buffer: the ceiling of _turns, clamped."""
     cone = _turns(dx, dy, k)
     np.ceil(cone, out=cone)
     return np.clip(cone, 1.0, k, out=cone)
 
 
 def _turns(dx, dy, k: int):
-    """angle * k / 2pi for each direction (dx, dy), the angle clockwise from
-    north in (0, 2pi] as cone_of computes it, in one buffer; its ceiling is
-    the direction's cone. Adding +0.0 leaves a positive angle as is."""
-    turns = np.arctan2(dx, dy)
-    turns += (turns <= 0.0) * TAU
+    """angle * k / 2pi for each direction (dx, dy), its _angles angle, in
+    one buffer; its ceiling is the direction's cone."""
+    turns = _angles(dx, dy)
     turns *= k
     turns /= TAU
     return turns
+
+
+def _angles(dx, dy):
+    """The clockwise angle from north of each direction (dx, dy), in
+    (0, 2pi], in one buffer. Adding +0.0 leaves a positive angle as is."""
+    angle = np.arctan2(dx, dy)
+    angle += (angle <= 0.0) * TAU
+    return angle
+
+
+def _bisectors(cone, k: int):
+    """Bisector components (sin, cos) of each cone index in cone, at the
+    clockwise angle (cone - 1/2)*2pi/k from north."""
+    theta = (cone - 0.5) * TAU / k
+    return np.sin(theta), np.cos(theta)
 
 
 def _ranks(values):
@@ -140,15 +146,6 @@ def _distinct(a):
     first[:1] = True
     np.not_equal(a[1:], a[:-1], out=first[1:])
     return a[first]
-
-
-def _bisectors(cone, k: int):
-    """Bisector components of each cone index in the array cone, as
-    bisector_direction computes them, with one _bisector call per distinct
-    cone."""
-    distinct, at = _ranks(cone)
-    bx, by = np.array([_bisector(i, k) for i in distinct.tolist()]).reshape(-1, 2).T
-    return bx[at], by[at]
 
 
 def _as_int(value) -> int | None:

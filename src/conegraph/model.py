@@ -299,8 +299,8 @@ def graphs_equal(g1: GeometricGraph, g2: GeometricGraph) -> bool:
 
 
 def _symmetric_keys(keys, n: int) -> np.ndarray:
-    """Sorted directed keys u*n + v merged with their reverses v*n + u, each
-    key once: the undirected keys."""
+    """Directed keys u*n + v, in any order, merged with their reverses
+    v*n + u, each key once and sorted: the undirected keys."""
     u, v = np.divmod(keys, n)
     keys = np.concatenate((keys, keys + (v - u) * (n - 1)))
     keys.sort()

@@ -233,7 +233,8 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
         farther = ~(_norm(x - x[w], y - y[w]) < d_uv) & tested
         flagged = (selected | farther).nonzero()
         for r, v in zip(*(a.tolist() for a in flagged)):
-            u, wv, i = r0 + r, int(w[r, v]), int(cone[r, v])
+            # the float cone of a k above 2**53 may round up past k; cone_of's clamp
+            u, wv, i = r0 + r, int(w[r, v]), min(int(cone[r, v]), k)
             if selected[r, v]:
                 violations.append(
                     f"selected neighbor {wv} of node {u} does not minimize the "

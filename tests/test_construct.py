@@ -277,6 +277,14 @@ def test_kernel_matches_reference_on_random_sets():
         assert_matches_reference(random_nodeset(n, seed=trial), k, family)
 
 
+def test_kernel_matches_reference_on_cone_rays(ray_sets):
+    # the scalar scan's cone_of runs the kernel's arctan2, so points on
+    # cone rays land in the same cones on both sides
+    for nodes, k in ray_sets(800, range(3, 17), seed=15):
+        for family in ("yao", "theta"):
+            assert_matches_reference(nodes, k, family)
+
+
 @pytest.mark.parametrize("n", [300, 257])
 def test_kernel_matches_reference_across_blocks(n):
     rows = _BLOCK_PAIRS // n
@@ -358,7 +366,7 @@ def assert_batch_matches_per_graph(node_sets, k, family):
     sizes = [len(ns) for ns in node_sets]
     x, y = (np.concatenate(c) for c in zip(*(ns.coordinates() for ns in node_sets)))
     n = len(x)
-    keys = _build_directed(x, y, candidate_table(sizes), k, family)
+    keys = np.sort(_build_directed(x, y, candidate_table(sizes), k, family, np.arange(n))[0])
     builder = build_directed_yao if family == "yao" else build_directed_theta
     want = []
     for ns, start in zip(node_sets, np.cumsum(sizes) - sizes):

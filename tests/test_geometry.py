@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conegraph.geometry import (
     TAU,
     Point,
+    _angles,
+    _bisectors,
     _cones,
     bisector_direction,
     bisector_projection,
@@ -197,18 +199,33 @@ def test_array_cones_match_cone_of_elementwise(k):
     assert got.tolist() == [k, k, 1]
 
 
-# numpy's array arctan2 may differ from math.atan2 by an ulp (numpy 2.4 on
-# x86-64 with AVX-512 does), and _cones takes numpy's
+# the 12 ray multiples include angles that numpy's arctan2 rounds an ulp
+# away from math.atan2 (numpy 2.4 on x86-64 with AVX-512 does)
 RAY_MULTIPLES = [(math.sin(m * TAU / 12), math.cos(m * TAU / 12)) for m in range(12)]
-ATAN2_DIFFERS = (np.arctan2(*map(np.array, zip(*RAY_MULTIPLES))).tolist()
-                 != [math.atan2(x, y) for x, y in RAY_MULTIPLES])
 
 
-@pytest.mark.xfail(ATAN2_DIFFERS, reason="numpy's arctan2 rounds some angles differently "
-                   "from math.atan2, so _cones and cone_of can disagree", strict=False)
 def test_array_cones_match_cone_of_on_ray_multiples():
     for k in (12, 10**18):
         assert_array_cones_match_cone_of(RAY_MULTIPLES, k)
+
+
+def ray_directions(k):
+    """Directions on cone rays m * 2pi / k and one ulp off them, for m
+    at both ends of 0..k-1."""
+    ms = sorted({*range(min(k, 12)), *range(max(k - 12, 0), k)})
+    rays = [(math.sin(m * TAU / k), math.cos(m * TAU / k)) for m in ms]
+    return rays + [(math.nextafter(x, math.inf), y) for x, y in rays] + SIGNED_AXES_AND_SUBNORMALS
+
+
+@pytest.mark.parametrize("k", [6, 12, 2**64 - 1, 10**18])
+def test_scalar_angle_and_bisector_are_the_array_formulas(k):
+    directions = ray_directions(k)
+    dx, dy = (np.array(c) for c in zip(*directions))
+    want = _angles(dx, dy).tolist()
+    assert [clockwise_angle_from_north(ORIGIN, Point(x, y)) for x, y in directions] == want
+    cones = sorted({*range(1, min(k, 12) + 1), *range(max(k - 11, 1), k + 1)})
+    bx, by = _bisectors(np.array(cones, float), k)
+    assert [bisector_direction(i, k) for i in cones] == list(zip(bx.tolist(), by.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -493,11 +493,21 @@ def test_relay_matches_reference():
         assert relay(nodes, k, family) == reference_relay_violations(nodes, k, family)
 
 
+def test_relay_matches_reference_on_cone_rays(ray_sets):
+    # the reference finds each pick by its scalar cone_of cone, which is
+    # the relay's array cone even for points on cone rays
+    for nodes, k in ray_sets(400, range(6, 17), seed=16):
+        for family in ("yao", "theta"):
+            assert relay(nodes, k, family) == reference_relay_violations(nodes, k, family)
+
+
 @pytest.mark.parametrize("family", ["yao", "theta"])
 def test_relay_reports_what_the_reference_reports(monkeypatch, family):
     monkeypatch.setattr(voidcheck, f"build_directed_{family}", farthest_in_cone(family))
     sets = [(random_nodeset(3 + seed % 38, seed=5000 + seed), 6 + seed % 11) for seed in range(40)]
     sets += list(zip(relay_fixtures(), (6, 7, 8, 9, 10, 11, 6, 12, 6)))
+    # due north is cone k, which rounds up to 2**64 as a double
+    sets.append((NodeSet([("u", Point(0, 0)), ("a", Point(0, 1)), ("b", Point(0, 2))]), 2**64 - 1))
     reported = []
     for nodes, k in sets:
         expected = reference_relay_violations(nodes, k, family)
