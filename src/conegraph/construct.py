@@ -28,7 +28,8 @@ sorted keys u*n + v in one of two ways, chosen from n and k:
   large k.
 - Grid tables (_grid_keys), for 3 <= k <= _GRID_MAX_K and at least
   _GRID_CONE_NODES * k nodes: each node's row is the nodes in the block
-  of grid cells around its own, ascending and padded as in the batch, and
+  of grid cells around its own (the cell index _grid, which the void
+  scan shares), ascending and padded as in the batch, and
   the same kernel picks from it. A node's picks are kept only if a
   certificate proves that no node off its row could be picked or tie:
   each pick's key is below the distance to the block's nearest side with
@@ -42,6 +43,7 @@ tuple or checks the keys again (see model.GeometricGraph._from_keys).
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,17 +134,34 @@ def _directed_graph(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
     return GeometricGraph._from_keys(family, k, True, nodes, keys)
 
 
-def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
-    """The sorted keys that _build_directed gives on the shared row, from
-    candidate tables of nearby nodes: each node's candidates are the nodes
-    in its block of grid cells, and its picks from them are kept only where
-    the certificate below proves them equal to its picks from all n nodes.
-    Nodes that fail it get a larger block, then the shared row."""
+class _Grid(NamedTuple):
+    """A cell index over the nodes at x, y: square cells of side h over the
+    bounding box (x0, x1, y0, y1), gx wide and gy high. Node i lies at
+    (tx[i], ty[i]) in cell units, in cell (cx[i], cy[i]); cell c = cy*gx + cx
+    holds the nodes order[start[c]:start[c + 1]], ascending."""
+
+    box: tuple
+    h: float
+    tx: np.ndarray
+    ty: np.ndarray
+    gx: int
+    gy: int
+    cx: np.ndarray
+    cy: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+
+
+def _grid(x, y) -> _Grid | None:
+    """The cell index that construction and the void scan share, with
+    _CELL_NODES nodes per cell on average, or None where the set's span is
+    outside [_KEY_MIN, _SPAN_MAX), where the rounding bounds of their
+    certificates do not hold."""
     n = len(x)
     x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
     w, hgt = x1 - x0, y1 - y0
     if not _KEY_MIN <= max(w, hgt) < _SPAN_MAX:
-        return _build_directed(x, y, np.arange(n)[None], k, family)
+        return None
     # square cells of _CELL_NODES nodes on average over the bounding box; a
     # set near a line gets one row of n / _CELL_NODES cells
     h = max(math.sqrt(w * hgt * _CELL_NODES / n), max(w, hgt) * _CELL_NODES / n)
@@ -150,9 +169,31 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
     gx, gy = int(w / h) + 1, int(hgt / h) + 1
     cx, cy = tx.astype(np.intp), ty.astype(np.intp)
     cell = cy * gx + cx
-    order = cell.argsort(kind="stable")
     start = np.zeros(gx * gy + 1, np.intp)
     np.cumsum(np.bincount(cell, minlength=gx * gy), out=start[1:])
+    return _Grid((x0, x1, y0, y1), h, tx, ty, gx, gy, cx, cy,
+                 cell.argsort(kind="stable"), start)
+
+
+def _gather(order, lo, size):
+    """The nodes of the runs order[lo:lo + size] of a grid's cell order, one
+    run after another, for flat arrays lo and size."""
+    at = np.repeat(lo - size.cumsum() + size, size)
+    at += np.arange(at.size)
+    return order.take(at)
+
+
+def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
+    """The sorted keys that _build_directed gives on the shared row, from
+    candidate tables of nearby nodes: each node's candidates are the nodes
+    in its block of grid cells, and its picks from them are kept only where
+    the certificate below proves them equal to its picks from all n nodes.
+    Nodes that fail it get a larger block, then the shared row."""
+    n = len(x)
+    grid = _grid(x, y)
+    if grid is None:
+        return _build_directed(x, y, np.arange(n)[None], k, family)
+    (x0, x1, y0, y1), h, tx, ty, gx, gy, cx, cy, order, start = grid
     # The certificate. Node u's picks from its block are its picks from all
     # nodes if each of u's cones passes (a) or (b):
     # (a) its pick's kernel key lies in [_KEY_MIN, gap * lim * (1 - _EPS)];
@@ -196,11 +237,9 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
             m = int(count.max())
             # the runs, one table row after another, padded with n; then
             # each row ascending, its padding replaced by its largest candidate
-            run_lo, run_size = lo[r0:r0 + step].reshape(-1), size[r0:r0 + step].reshape(-1)
-            at = np.repeat(run_lo - run_size.cumsum() + run_size, run_size)
-            at += np.arange(at.size)
             table = np.full((src.size, m), n)
-            table[np.arange(m) < count[:, None]] = order.take(at)
+            table[np.arange(m) < count[:, None]] = _gather(
+                order, lo[r0:r0 + step].reshape(-1), size[r0:r0 + step].reshape(-1))
             table.sort(axis=1)
             np.minimum(table, table[np.arange(src.size), count - 1][:, None], out=table)
             got, cone, key = _build_directed(x, y, table, k, family, src)

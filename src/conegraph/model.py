@@ -1,7 +1,8 @@
 """Node sets, geometric graphs, routing/void result records, and their
 JSON/CSV serialization. Every array distance goes through _norm, the
-array form of distance: _distances (the distance matrix, and the search
-batch's candidate distances), the kernel's Yao keys and the relay checks."""
+array form of distance: _distances (the distance matrix of small graphs,
+routing and the search batch's candidate distances), the cell scan's
+distances from coordinates, the kernel's Yao keys and the relay checks."""
 
 import csv
 import io

@@ -36,6 +36,10 @@ def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None)
     node_r = 0.012 * (span + 2 * margin)
     stroke = 0.35 * node_r
     font = 3.2 * node_r
+    # each number is formatted once and its text reused
+    fx, fy = [_fmt(v) for v in xs], [_fmt(v) for v in ys]
+    width, radius, size = _fmt(stroke), _fmt(node_r), _fmt(font)
+    offset = 1.4 * node_r
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -45,16 +49,15 @@ def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None)
     ]
     if highlight_pair is not None:
         parts.append(
-            f'<circle class="aux-circle" cx="{_fmt(xs[v])}" cy="{_fmt(ys[v])}" '
+            f'<circle class="aux-circle" cx="{fx[v]}" cy="{fy[v]}" '
             f'r="{_fmt(r)}" fill="none" stroke="#888888" '
-            f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(4 * stroke)}"/>'
+            f'stroke-width="{width}" stroke-dasharray="{_fmt(4 * stroke)}"/>'
         )
+    marker = ' marker-end="url(#arrow)"' if g.directed else ""
     for a, b in g.edges:
-        marker = ' marker-end="url(#arrow)"' if g.directed else ""
         parts.append(
-            f'<line class="edge" x1="{_fmt(xs[a])}" y1="{_fmt(ys[a])}" '
-            f'x2="{_fmt(xs[b])}" y2="{_fmt(ys[b])}" stroke="#000000" '
-            f'stroke-width="{_fmt(stroke)}"{marker}/>'
+            f'<line class="edge" x1="{fx[a]}" y1="{fy[a]}" x2="{fx[b]}" y2="{fy[b]}" '
+            f'stroke="#000000" stroke-width="{width}"{marker}/>'
         )
     if g.directed and g.edges:
         parts.insert(3, (
@@ -62,16 +65,14 @@ def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None)
             'markerWidth="6" markerHeight="6" orient="auto-start-reverse">'
             '<path d="M 0 0 L 10 5 L 0 10 z"/></marker></defs>'
         ))
-    for idx in range(len(pts)):
+    for idx, name in enumerate(ids):
         parts.append(
-            f'<circle class="node" cx="{_fmt(xs[idx])}" cy="{_fmt(ys[idx])}" '
-            f'r="{_fmt(node_r)}" fill="#ffffff" stroke="#000000" '
-            f'stroke-width="{_fmt(stroke)}"/>'
+            f'<circle class="node" cx="{fx[idx]}" cy="{fy[idx]}" r="{radius}" '
+            f'fill="#ffffff" stroke="#000000" stroke-width="{width}"/>'
         )
         parts.append(
-            f'<text class="label" x="{_fmt(xs[idx] + 1.4 * node_r)}" '
-            f'y="{_fmt(ys[idx] - 1.4 * node_r)}" font-size="{_fmt(font)}" '
-            f'font-family="sans-serif">{_escape(ids[idx])}</text>'
+            f'<text class="label" x="{_fmt(xs[idx] + offset)}" y="{_fmt(ys[idx] - offset)}" '
+            f'font-size="{size}" font-family="sans-serif">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

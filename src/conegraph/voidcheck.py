@@ -2,15 +2,26 @@
 behind the k >= 6 guarantees.
 
 A graph is void-free when every node u has, for every other node v,
-some neighbor strictly closer to v than u itself. The exhaustive pair
-scan is the reference semantics. It works on blocks of source rows: per
-block it folds in the distance rows of each source's neighbors, a few
-neighbor slots at a time, keeping every target's minimum, so has_void
-stops after the first block that holds a witness. Like the construction
-kernel, it reads each node's targets from a candidate table, so one pass
-covers one graph (check_void_free, has_void) or the counterexample
-search's batch of small graphs. check_by_routing is an independent
-oracle through greedy forwarding.
+some neighbor strictly closer to v than u itself. The pair scan is the
+reference semantics, and has_void stops after the first block of source
+nodes that holds a witness. It has two table sources, both giving the
+witnesses of the exhaustive scan bit for bit:
+
+- The distance matrix (_void_witnesses), for small graphs and the
+  counterexample search's batch: per block of source rows it folds in the
+  distance rows of each source's neighbors, a few neighbor slots at a
+  time, keeping every target's minimum. Like the construction kernel, it
+  reads each node's targets from a candidate table, so one pass covers
+  one graph or the search's batch of small graphs.
+- Cells (_cell_witnesses), for graphs with k >= 3 of at least
+  _CELL_SCAN_NODES nodes: (u, v) can be a void only where v lies in u's
+  Voronoi cell among u and its neighbors. A certified bound on that cell
+  (_cell_reach) and the grid index construction uses (construct._grid)
+  limit u's targets to a few nearby nodes, and distances come from the
+  coordinates, so no n x n array is built.
+
+check_by_routing is an independent oracle through greedy forwarding; it
+still reads the distance matrix.
 
 The cone-relay checks also run over blocks of source rows, so no step
 makes a per-pair Python call. Like the construction kernel, they take
@@ -27,7 +38,10 @@ import numpy as np
 # through this module's namespace, so the name stays importable
 from .geometry import _bisectors, _check_k, _cones, _ranks, cone_of  # noqa: F401
 from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness, _norm
-from .construct import _BLOCK_PAIRS, _own_slots, build_directed_theta, build_directed_yao
+from .construct import (
+    _BLOCK_PAIRS, _DELTA, _EPS, _KEY_MIN, _gather, _grid, _own_slots,
+    build_directed_theta, build_directed_yao,
+)
 from .routing import greedy_route
 
 # Distance-matrix entries per pair-scan gather. A block of
@@ -38,6 +52,24 @@ from .routing import greedy_route
 # 1,000-node scans ran fastest near 2**15 entries (256 KiB per gather).
 _SCAN_BLOCK = 1 << 15
 
+# The cell-bounded scan (_cell_witnesses) serves graphs with k >= 3 of at
+# least _CELL_SCAN_NODES nodes; smaller ones scan the distance matrix.
+# Measured on a 2-core x86-64 VM (best of 7, three seeds, Yao k = 4, 6 and
+# 12), the cell scan ran 0.5 to 1.0 times as fast as the matrix scan at 300
+# nodes, 1.4 to 1.8 times at 500 and 2.4 to 3.1 times at 1,000 on uniform
+# sets; on sets of 8 Gaussian clusters 0.5 to 0.6, 0.7 to 1.2 and 1.3 to
+# 1.9 times. Its memory does not grow as n**2.
+_CELL_SCAN_NODES = 500
+# A neighbor w of u whose squared distance to v is at most (1 - _TIE) times
+# u's is strictly closer to v in doubles too (see _cell_reach)
+_TIE = 2.0**-40
+# The cell scan runs in pieces of about _CELL_ENTRIES entries: rows of q's
+# in _cell_reach, gathered candidates and (pair, neighbor) slots in
+# _cell_witnesses. On the benchmark's 1,000-node `large` sets its traced
+# peak was 1.5 to 1.7 MiB at 2**13, and 2.8 to 3.9 MiB at 2**14 to 2**16
+# (construction's 2**16-entry _TABLE_ENTRIES), at about the same speed.
+_CELL_ENTRIES = 1 << 13
+
 
 @dataclass(frozen=True)
 class VoidReport:
@@ -46,17 +78,16 @@ class VoidReport:
 
 
 def check_void_free(g: GeometricGraph) -> VoidReport:
-    """Exhaustively scan all ordered node pairs for voids.
+    """Find every ordered node pair that is a void.
 
     Emits a witness for every pair (u, v) where no neighbor of u is
-    strictly closer to v; witnesses come out sorted by (u, v). A
-    single-node graph is vacuously void-free.
+    strictly closer to v; witnesses come out sorted by (u, v). Large
+    graphs skip the pairs that a certified cell bound proves are not
+    voids (see _scan). A single-node graph is vacuously void-free.
     """
     witnesses = []
-    for r0, mask, d, best in _scan(g):
-        us, vs = mask.nonzero()
-        witnesses.extend(map(VoidWitness, (us + r0).tolist(), vs.tolist(),
-                             d[mask].tolist(), best[mask].tolist()))
+    for block in _scan(g):
+        witnesses.extend(map(VoidWitness, *(a.tolist() for a in block)))
     return VoidReport(void_free=not witnesses, witnesses=tuple(witnesses))
 
 
@@ -70,14 +101,32 @@ def has_void(g: GeometricGraph) -> bool:
 
 
 def _scan(g: GeometricGraph):
+    """The pair scan of g. Yields each block of source nodes that holds a
+    witness, in order, as arrays (u, v, d, best) of its witnesses sorted by
+    (u, v): d is d(u, v) and best the distance to v of u's neighbor nearest
+    to it. Graphs with k >= 3 and at least _CELL_SCAN_NODES nodes scan each
+    node's cell (_cell_witnesses), unless the grid does not serve the set's
+    span; the others scan the distance matrix (_void_witnesses)."""
     if g.directed:
         raise ValueError("void-freeness is defined on the undirected graph")
-    return _void_witnesses(g.dist_matrix, np.arange(len(g.nodes))[None], *g.csr)
+    if g.k >= 3 and len(g.nodes) >= _CELL_SCAN_NODES:
+        x, y = g.nodes.coordinates()
+        grid = _grid(x, y)
+        if grid is not None:
+            return _cell_witnesses(x, y, grid, *g.csr)
+    return _matrix_witnesses(g)
+
+
+def _matrix_witnesses(g: GeometricGraph):
+    for r0, mask, d, best in _void_witnesses(g.dist_matrix, np.arange(len(g.nodes))[None], *g.csr):
+        us, vs = mask.nonzero()
+        yield us + r0, vs, d[mask], best[mask]
 
 
 def _void_witnesses(dist, cols, indptr, indices):
-    """The pair scan over undirected graphs, each of whose nodes has the same
-    row in the candidate table cols (see construct._build_directed):
+    """The pair scan from distance tables, over undirected graphs each of
+    whose nodes has the same row in the candidate table cols (see
+    construct._build_directed):
     dist[u, j] = d(u, cols[u, j]), and indptr, indices are the keys' CSR.
     Yields each block of source rows that holds a witness, in order, as
     (r0, mask, d, best): over rows u = r0 + r and columns j, mask marks the
@@ -108,6 +157,170 @@ def _void_witnesses(dist, cols, indptr, indices):
         mask.reshape(-1)[_own_slots(cols, r0, r1)] = False  # u == v
         if np.count_nonzero(mask):
             yield r0, mask, d, best
+
+
+def _cell_witnesses(x, y, grid, indptr, indices):
+    """The pair scan over one undirected graph from its coordinates, without
+    a distance matrix. u's targets are the nodes within its reach
+    (_cell_reach), found through the grid (construct._grid); a node without
+    a certified reach gets every node. Yields as _scan does, in pieces of
+    about _CELL_ENTRIES gathered candidates."""
+    n = len(x)
+    rows = max(1, _CELL_ENTRIES // (int((indptr[1:] - indptr[:-1]).max()) + 4))
+    reach = np.concatenate([_cell_reach(x, y, grid, indptr, indices, np.arange(a, min(a + rows, n)))
+                            for a in range(0, n, rows)])
+    reach *= 1 + _EPS
+    gx, gy, cx, cy, order, start = grid.gx, grid.gy, grid.cx, grid.cy, grid.order, grid.start
+    # u's block: the cells within r = floor(reach / h + _EPS) + 1 of its own.
+    # A node off the block is more than r cells from u in x or y, in cell
+    # units t = (x - x0)/h, which are off by less than 2**-51 * t, t <= n/2:
+    # it lies beyond reach below n = 2**30. Infinite reaches span the grid.
+    r = np.minimum(np.floor(reach / grid.h + _EPS) + 1, max(gx, gy)).astype(np.intp)
+    x_lo, x_hi = np.maximum(cx - r, 0), np.minimum(cx + r, gx - 1) + 1
+    y_lo, y_hi = np.maximum(cy - r, 0), np.minimum(cy + r, gy - 1) + 1
+    # each block's node count, from 2-d prefix sums of the cell counts
+    total = np.zeros((gy + 1, gx + 1), np.intp)
+    total[1:, 1:] = np.diff(start).reshape(gy, gx).cumsum(0).cumsum(1)
+    count = total[y_hi, x_hi] - total[y_lo, x_hi] - total[y_hi, x_lo] + total[y_lo, x_lo]
+    runs = y_hi - y_lo
+    for a, b in _pieces(count + runs):
+        # the block's cell rows, one run [lo, lo + size) of cell order each
+        nrun = runs[a:b]
+        owner = np.repeat(np.arange(a, b), nrun)
+        row = np.repeat(y_lo[a:b] - nrun.cumsum() + nrun, nrun) + np.arange(nrun.sum())
+        lo = start.take(row * gx + x_lo[owner])
+        v = _gather(order, lo, start.take(row * gx + x_hi[owner]) - lo)
+        u = np.repeat(np.arange(a, b), count[a:b])
+        d = _norm(x.take(v) - x.take(u), y.take(v) - y.take(u))
+        near = d <= reach.take(u)
+        key = u[near] * n + v[near]
+        at = key.argsort()
+        u, v = np.divmod(key.take(at), n)
+        d = d[near].take(at)
+        best = _nearest(x, y, u, v, indptr, indices)
+        mask = (best >= d) & (u != v)
+        if mask.any():
+            yield u[mask], v[mask], d[mask], best[mask]
+
+
+def _nearest(x, y, u, v, indptr, indices):
+    """For each pair (u[i], v[i]), the distance to v[i] of u[i]'s neighbor
+    nearest to it, +inf for an isolated u[i]: the minimum of the same
+    elementwise steps as the distance matrix's entries. Runs in pieces of
+    about _CELL_ENTRIES (pair, neighbor) slots."""
+    deg = indptr.take(u + 1) - indptr.take(u)
+    best = np.full(len(u), np.inf)
+    for a, b in _pieces(deg):
+        k = deg[a:b]
+        slots = np.repeat(indptr.take(u[a:b]) - k.cumsum() + k, k) + np.arange(k.sum())
+        w = indices.take(slots)
+        t = np.repeat(v[a:b], k)
+        dist = _norm(x.take(t) - x.take(w), y.take(t) - y.take(w))
+        some = k > 0
+        if some.any():
+            best[a:b][some] = np.minimum.reduceat(dist, (k.cumsum() - k)[some])
+    return best
+
+
+def _pieces(cost):
+    """(a, b) bounds of consecutive items whose costs add up to about
+    _CELL_ENTRIES; an item that costs more is a piece of its own."""
+    total = cost.cumsum()
+    ends = total.searchsorted(np.arange(_CELL_ENTRIES, total[-1], _CELL_ENTRIES), side="right")
+    ends = np.unique(np.append(ends[ends > 0], len(cost))).tolist()
+    return zip([0, *ends[:-1]], ends)
+
+
+def _cell_reach(x, y, grid, indptr, indices, src):
+    """Each node u's reach: a distance beyond which no node v is a witness
+    (u, v) in doubles, or +inf where that is not certified.
+
+    v is a witness in exact arithmetic only if it lies in u's Voronoi cell
+    among u and its neighbors, clipped to the bounding box. Relative to u,
+    scaled so that the span lies in [1, 2), that cell is {p : p.q <= 1} for
+    q over 2(w - u)/|w - u|**2, each neighbor w, and the four box sides,
+    moved out by 2**-10. Its farthest vertex from u is the pole of the edge
+    of the q's convex hull nearest the origin, at distance R = max over hull
+    edges (a, b) of |b - a| / cross(a, b). The hull is found by dropping, from
+    each row of q's sorted by angle, every vertex that does not turn left by
+    a margin, until none is dropped. A dropped hull vertex only enlarges the
+    cell, so R stays a bound.
+
+    The certificate. A node v at distance t > R from u lies outside the
+    cell, so p.q >= t/R for p = v - u and some q, a neighbor w's, since
+    every node is inside the box. Then |v - w|**2 = t**2 - |w - u|**2 *
+    (p.q - 1) is at most (1 - D) t**2 with D = delta**2 * (t/R - 1) / t**2
+    and delta u's nearest neighbor distance. Over t in [R, L], L u's
+    distance to the farthest box corner, D is least at t = R or t = L. Where
+    that least D is at least _TIE, and R at least _KEY_MIN, w's distance to
+    v is below u's in doubles too: rounding moves each by a few ulps, and
+    keeps squares of R and more normal. R carries a margin of _EPS / 2 over
+    its rounding: the q's are off by a few ulps, and each kept turn and edge
+    clears _DELTA of its scale, so R is off by less than 2**-25 relative.
+    """
+    n = len(src)
+    x0, x1, y0, y1 = grid.box
+    scale = math.ldexp(1.0, 1 - math.frexp(max(x1 - x0, y1 - y0))[1])
+    first, deg = indptr.take(src), indptr.take(src + 1) - indptr.take(src)
+    width = int(deg.max())
+    edge = np.arange(width) < deg[:, None]
+    nb = indices.take(first[:, None] + np.arange(width), mode="clip")
+    xs, ys = x.take(src), y.take(src)
+    dx = (x.take(nb) - xs[:, None]) * scale
+    dy = (y.take(nb) - ys[:, None]) * scale
+    sq = dx * dx + dy * dy
+    delta2 = np.where(edge, sq, np.inf).min(axis=1, initial=np.inf)
+    # isolated nodes, and neighbors so near that their q's lose precision
+    ok = (deg > 0) & (delta2 >= 2.0**-800)
+    sq[sq < 2.0**-800] = 1.0
+    pad = 2.0**-10
+    qx = np.concatenate((2 * dx / sq, 1 / ((x1 - xs) * scale + pad)[:, None],
+                         -1 / ((xs - x0) * scale + pad)[:, None], np.zeros((n, 2))), axis=1)
+    qy = np.concatenate((2 * dy / sq, np.zeros((n, 2)), 1 / ((y1 - ys) * scale + pad)[:, None],
+                         -1 / ((ys - y0) * scale + pad)[:, None]), axis=1)
+    live = np.concatenate((edge, np.ones((n, 4), bool)), axis=1)
+    # rows of q's by angle, live ones first; cnt[u] of them are live
+    width += 4
+    by_angle = np.where(live, np.arctan2(qy, qx), np.inf).argsort(axis=1, kind="stable")
+    by_angle += np.arange(0, n * width, width)[:, None]
+    qx, qy = qx.take(by_angle), qy.take(by_angle)
+    cnt = deg + 4
+    j = np.arange(width)
+    rows = ok.nonzero()[0]
+    while rows.size:
+        # flat indices of each live q's predecessor and successor in its row
+        c = cnt[rows, None]
+        base = np.arange(0, rows.size * width, width)[:, None]
+        px, py = qx[rows], qy[rows]
+        before = base + np.where(j == 0, c - 1, j - 1)
+        after = base + np.where(j + 1 >= c, 0, j + 1)
+        ax, ay, bx, by = px.take(before), py.take(before), px.take(after), py.take(after)
+        turn = (px - ax) * (by - py) - (py - ay) * (bx - px)
+        size = (abs(ax) + abs(ay) + abs(px) + abs(py)) * (abs(px) + abs(py) + abs(bx) + abs(by))
+        keep = (j < c) & (turn > _DELTA * size)
+        kept = keep.sum(1)
+        changed = (kept < c[:, 0]).nonzero()[0]
+        rows, kept = rows[changed], kept[changed]
+        left = np.argsort(~keep[changed], axis=1, kind="stable") + base[changed]
+        qx[rows], qy[rows] = px.take(left), py.take(left)
+        cnt[rows] = kept
+        rows = rows[kept >= 3]
+    ok &= cnt >= 3
+    # each live q and its successor: an edge of the hull
+    c = cnt[:, None]
+    after = np.arange(0, n * width, width)[:, None] + np.where(j + 1 >= c, 0, j + 1)
+    bx, by = qx.take(after), qy.take(after)
+    cross = qx * by - qy * bx
+    side = j < c
+    clear = cross > _DELTA * (abs(qx) + abs(qy)) * (abs(bx) + abs(by))
+    ok &= (clear | ~side).all(1)
+    inv = np.hypot(bx - qx, by - qy) / np.where(side & clear, cross, 1.0)
+    reach = np.where(side, inv, 0.0).max(1) * (1 + _EPS)
+    far = np.hypot(np.maximum(xs - x0, x1 - xs), np.maximum(ys - y0, y1 - ys)) * scale * (1 + _EPS)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        least = delta2 * np.minimum(_EPS / 2 / reach**2, (far / reach - 1) / far**2)
+    ok &= (least >= _TIE) & (reach >= _KEY_MIN * scale)
+    return np.where(ok, reach / scale, np.inf)
 
 
 def check_by_routing(g: GeometricGraph) -> VoidReport:

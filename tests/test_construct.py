@@ -21,7 +21,7 @@ from conegraph.construct import (
     undirect,
 )
 from conegraph.corpus import random_nodeset
-from conegraph.geometry import Point, bisector_projection, cone_of
+from conegraph.geometry import Point, _cones, bisector_projection, cone_of
 from conegraph.model import GeometricGraph, NodeSet, distance, graph_to_json, graphs_equal
 from conegraph.voidcheck import check_theta_cone_relay, check_yao_cone_relay
 
@@ -198,17 +198,26 @@ def test_single_node_graph_has_no_edges():
 # kernel against the scalar cone scan
 
 
+def source_cones(nodes, k):
+    """Row u holds the cone of every node around node u, as cone_of gives
+    it: the array formula geometry._cones, called once per source row,
+    with cone_of's clamp to k. Entry u of row u is meaningless."""
+    x, y = nodes.coordinates()
+    return [[min(int(c), k) for c in _cones(x - x[u], y - y[u], k).tolist()] for u in range(len(x))]
+
+
 def reference_build_directed(nodes, k, family):
     """The per-pair scalar cone scan: the oracle for the construction
     kernel. It builds through the public constructor, which checks it."""
     pts = nodes.points
+    cones = source_cones(nodes, k)
     edges = []
     for u, pu in enumerate(pts):
         best = {}
         for v, pv in enumerate(pts):
             if v == u:
                 continue
-            i = cone_of(pu, pv, k)
+            i = cones[u][v]
             if family == "theta":
                 key = abs(bisector_projection(pu, pv, i, k))
             else:
@@ -278,8 +287,8 @@ def test_kernel_matches_reference_on_random_sets():
 
 
 def test_kernel_matches_reference_on_cone_rays(ray_sets):
-    # the scalar scan's cone_of runs the kernel's arctan2, so points on
-    # cone rays land in the same cones on both sides
+    # the reference takes its cones from the kernel's array formula, so
+    # points on cone rays land in the same cones on both sides
     for nodes, k in ray_sets(800, range(3, 17), seed=15):
         for family in ("yao", "theta"):
             assert_matches_reference(nodes, k, family)

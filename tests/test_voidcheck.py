@@ -2,12 +2,18 @@
 geometry checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_construct import (
+    SCALES, clusters, large_sets, lattices, nodes_at, on_cell_edges, on_cone_rays, source_cones,
+)
 
 from conegraph import voidcheck
-from conegraph.construct import build, build_directed_yao
+from conegraph.construct import _grid, build, build_directed_yao
 from conegraph.corpus import load_corpus, random_nodeset
 from conegraph.geometry import TAU, Point, bisector_projection, cone_of
 from conegraph.model import GeometricGraph, NodeSet, VoidWitness, _csr, _distances, distance
@@ -205,6 +211,117 @@ def test_batch_scan_matches_per_graph(monkeypatch):
         for batch, want in zip(batches, expected):
             assert batch_witnesses(batch) == want
             assert [bool(w) for w in want] == [has_void(g) for g in batch]
+
+
+# ---------------------------------------------------------------------------
+# the cell-bounded scan against the distance-matrix scan
+
+
+def assert_cell_scan_matches_matrix(g):
+    """check_void_free and has_void, with the cell scan on at any size, give
+    the matrix scan's witnesses and verdict on the undirected graph g, and
+    build no distance matrix where the grid serves the set."""
+    copy = GeometricGraph._from_keys(g.family, g.k, False, g.nodes, g.keys)
+    want = [VoidWitness(*w) for block in voidcheck._matrix_witnesses(copy)
+            for w in zip(*(a.tolist() for a in block))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voidcheck, "_CELL_SCAN_NODES", 0)
+        assert list(check_void_free(g).witnesses) == want, (g.family, g.k, len(g.nodes))
+        assert has_void(g) == bool(want)
+    if _grid(*g.nodes.coordinates()) is not None:
+        assert "dist_matrix" not in g.__dict__
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("points", [lattices(), on_cell_edges(), on_cone_rays(), clusters()],
+                         ids=["lattices", "cell_edges", "cone_rays", "clusters"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cell_scan_matches_matrix_scan(points, data):
+    scale = data.draw(st.sampled_from(SCALES), "scale")
+    coords = list(dict.fromkeys((x * scale, y * scale) for x, y in data.draw(points, "points")))
+    if scale != 1.0 and data.draw(st.booleans(), "anchored"):
+        coords += [(-2.0, -2.0), (2.0, 2.0)]
+    k = data.draw(st.integers(3, 16), "k")
+    for family in ("yao", "theta"):
+        assert_cell_scan_matches_matrix(build(nodes_at(coords), family, k))
+
+
+@pytest.mark.parametrize("seed", [0, 8675309])
+def test_cell_scan_matches_matrix_scan_on_large_sets(seed):
+    for nodes in large_sets(seed):
+        for family, k in (("yao", 3), ("yao", 4), ("yao", 6), ("yao", 8), ("yao", 12),
+                          ("theta", 3), ("theta", 6)):
+            assert_cell_scan_matches_matrix(build(nodes, family, k))
+
+
+def test_cell_scan_matches_matrix_scan_on_sparse_graphs():
+    # isolated nodes, a star and graphs with most edges dropped: cells that
+    # reach the bounding box, and nodes without a certified reach
+    ns = random_nodeset(80, seed=17)
+    yao = build(ns, "yao", 6)
+    rng = np.random.default_rng(17)
+    graphs = [GeometricGraph("yao", 3, False, ns, ()),
+              GeometricGraph("yao", 3, False, ns, tuple((0, j) for j in range(1, 80))),
+              GeometricGraph("yao", 3, False, ns, ((1, 2), (2, 3), (3, 5), (5, 9)))]
+    for keep in (0.2, 0.5, 0.8):
+        edges = [e for e in yao.edges if rng.random() < keep]
+        graphs.append(GeometricGraph("yao", 6, False, ns, tuple(edges)))
+    for g in graphs:
+        assert_cell_scan_matches_matrix(g)
+
+
+def test_cell_scan_keeps_targets_that_doubles_cannot_separate():
+    # u's neighbor w is 1e-17 east of it, so u's cell ends just east of u and
+    # v lies outside it; but d(w, v) rounds to d(u, v) = 1, so (u, v) is a
+    # witness in doubles, and u's reach must not be certified
+    ns = nodes_at([(0.0, 0.0), (1e-17, 0.0), (1.0, 0.0), (-0.5, 0.5), (-0.5, -0.5)])
+    g = GeometricGraph("yao", 3, False, ns, ((0, 1),))
+    assert_cell_scan_matches_matrix(g)
+    assert (0, 2) in [(w.u, w.v) for w in check_void_free(g).witnesses]
+
+
+def test_cell_scan_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatch):
+    # the equivalence tests would pass if every node scanned every target; on
+    # the benchmark's sets the cells must keep a few targets per node, and
+    # few nodes may go without a certified reach
+    kept, reaches = [], []
+    nearest_of, reach_of = voidcheck._nearest, voidcheck._cell_reach
+
+    def nearest(x, y, u, v, indptr, indices):
+        kept.append(len(u))
+        return nearest_of(x, y, u, v, indptr, indices)
+
+    def reach(*args):
+        reaches.append(reach_of(*args))
+        return reaches[-1]
+
+    monkeypatch.setattr(voidcheck, "_nearest", nearest)
+    monkeypatch.setattr(voidcheck, "_cell_reach", reach)
+    uniform, clustered = large_sets(0)
+    for nodes, k, most in ((uniform, 6, 5), (clustered, 4, 40)):
+        kept.clear()
+        reaches.clear()
+        g = build(nodes, "yao", k)
+        check_void_free(g)
+        n = len(nodes)
+        assert n <= sum(kept) <= most * n
+        assert np.isinf(np.concatenate(reaches)).sum() < 0.05 * n
+
+
+def test_void_scan_of_3000_nodes_builds_no_distance_matrix():
+    # the 3,000 x 3,000 distance matrix alone takes 69 MiB
+    g = build(random_nodeset(3000, seed=16), "yao", 6)
+    g.csr
+    for scan in (check_void_free, has_void):
+        tracemalloc.start()
+        try:
+            scan(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "dist_matrix" not in g.__dict__
+        assert peak < 10 * 2**20, scan.__name__
 
 
 def test_routing_oracle_agrees_on_random_graphs():
@@ -408,13 +525,14 @@ def reference_relay_violations(nodes, k, family):
         g = voidcheck.build_directed_theta(nodes, k)
     violations = []
     pts = nodes.points
-    picks = {(u, cone_of(pts[u], pts[w], k)): w for u, w in g.edges}
+    cones = source_cones(nodes, k)
+    picks = {(u, cones[u][w]): w for u, w in g.edges}
     for u in range(len(pts)):
         pu = pts[u]
         for v in range(len(pts)):
             if v == u:
                 continue
-            i = cone_of(pu, pts[v], k)
+            i = cones[u][v]
             w = picks[(u, i)]
             if w == v:
                 continue
@@ -494,8 +612,8 @@ def test_relay_matches_reference():
 
 
 def test_relay_matches_reference_on_cone_rays(ray_sets):
-    # the reference finds each pick by its scalar cone_of cone, which is
-    # the relay's array cone even for points on cone rays
+    # the reference takes its cones from the relay's array formula, so
+    # points on cone rays land in the same cones on both sides
     for nodes, k in ray_sets(400, range(6, 17), seed=16):
         for family in ("yao", "theta"):
             assert relay(nodes, k, family) == reference_relay_violations(nodes, k, family)
