@@ -27,23 +27,22 @@ sorted keys u*n + v in one of two ways, chosen from n and k:
   np.arange(n)[None]. O(n**2) pairs; it serves small sets, k < 3 and
   large k.
 - Grid tables (_grid_keys), for 3 <= k <= _GRID_MAX_K and at least
-  _GRID_CONE_NODES * k nodes: each node's row is the nodes in the block
-  of grid cells around its own (the cell index _grid, which the void
-  scan shares), ascending and padded as in the batch, and
-  the same kernel picks from it. A node's picks are kept only if a
-  certificate proves that no node off its row could be picked or tie:
-  each pick's key is below the distance to the block's nearest side with
-  cells beyond it (times cos(pi/k) for Theta), and each cone without a
-  pick stays inside the block as far as the bounding box reaches, with
-  margins for rounding (see _grid_keys). The others get a larger block,
-  then the shared row, so every edge is the shared row's.
+  _GRID_CONE_NODES * k nodes: each node's row is the nodes in its block
+  of grid cells (_Grid.gather, the query the void scan shares),
+  ascending and padded as in the batch, and the same kernel picks from
+  it. A node's picks are kept only if a certificate proves that no node
+  off its row could be picked or tie: each pick's key is below the gap
+  to the block's nearest side with cells beyond it (_Grid.gaps; times
+  cos(pi/k) for Theta), and each cone without a pick stays inside the
+  block as far as the bounding box reaches, with margins for rounding
+  (see _grid_keys). The others get a larger block, then the shared row,
+  so every edge is the shared row's.
 
 undirect merges the keys with their reverses. No step builds an edge
 tuple or checks the keys again (see model.GeometricGraph._from_keys).
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -134,22 +133,73 @@ def _directed_graph(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
     return GeometricGraph._from_keys(family, k, True, nodes, keys)
 
 
-class _Grid(NamedTuple):
+class _Grid:
     """A cell index over the nodes at x, y: square cells of side h over the
     bounding box (x0, x1, y0, y1), gx wide and gy high. Node i lies at
     (tx[i], ty[i]) in cell units, in cell (cx[i], cy[i]); cell c = cy*gx + cx
-    holds the nodes order[start[c]:start[c + 1]], ascending."""
+    holds the nodes order[start[c]:start[c + 1]], ascending, and total[j, i]
+    counts the nodes in the cells below row j and left of column i.
 
-    box: tuple
-    h: float
-    tx: np.ndarray
-    ty: np.ndarray
-    gx: int
-    gy: int
-    cx: np.ndarray
-    cy: np.ndarray
-    order: np.ndarray
-    start: np.ndarray
+    No code outside this class works in cell units. Their rounding: t =
+    (x - x0)/h is off by less than 2**-51 * t, and t <= n/2 (see _grid), so
+    by less than 2**-52 * n, and a difference of two by less than 2**-21
+    for n below 2**30, far more points than fit in memory. So radius adds
+    _EPS cells, and gaps, a cell or more from r = 1 on, take off _EPS
+    relative, which leaves room for a few ulps of the keys they bound."""
+
+    def __init__(self, x, y, box, h):
+        x0, x1, y0, y1 = self.box = box
+        self.h = h
+        self.tx, self.ty = (x - x0) / h, (y - y0) / h
+        self.gx, self.gy = gx, gy = int((x1 - x0) / h) + 1, int((y1 - y0) / h) + 1
+        self.cx, self.cy = self.tx.astype(np.intp), self.ty.astype(np.intp)
+        cell = self.cy * gx + self.cx
+        counts = np.bincount(cell, minlength=gx * gy)
+        self.order = cell.argsort(kind="stable")
+        self.start = np.append(0, counts.cumsum())
+        self.total = np.pad(counts.reshape(gy, gx).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+
+    def block(self, rows, r):
+        """The block of the cells within r of node u's cell in x and in y,
+        clipped to the grid, for each u in rows, as cell bounds (x_lo, x_hi,
+        y_lo, y_hi), ends excluded; r is one int or one per row."""
+        cx, cy = self.cx[rows], self.cy[rows]
+        return (np.maximum(cx - r, 0), np.minimum(cx + r, self.gx - 1) + 1,
+                np.maximum(cy - r, 0), np.minimum(cy + r, self.gy - 1) + 1)
+
+    def count(self, rows, r):
+        """The number of nodes in each block, from the prefix sums."""
+        x_lo, x_hi, y_lo, y_hi = self.block(rows, r)
+        t = self.total
+        return t[y_hi, x_hi] - t[y_lo, x_hi] - t[y_hi, x_lo] + t[y_lo, x_lo]
+
+    def gather(self, rows, r):
+        """The nodes of each block, one block after another, each cell row
+        by cell row: a run of each row's cells in cell order."""
+        x_lo, x_hi, y_lo, y_hi = self.block(rows, r)
+        runs = y_hi - y_lo
+        cells = _ranges(y_lo, runs) * self.gx
+        lo = self.start.take(cells + np.repeat(x_lo, runs))
+        return self.order.take(_ranges(lo, self.start.take(cells + np.repeat(x_hi, runs)) - lo))
+
+    def gaps(self, rows, r):
+        """Each node's distances to its block's west, east, south and north
+        sides, as rows of an array, +inf where no cells lie beyond; from
+        r = 1 on, lower bounds on its distance to every node off its block."""
+        x_lo, x_hi, y_lo, y_hi = self.block(rows, r)
+        tx, ty = self.tx[rows], self.ty[rows]
+        gaps = np.array([np.where(x_lo > 0, tx - x_lo, np.inf),
+                         np.where(x_hi < self.gx, x_hi - tx, np.inf),
+                         np.where(y_lo > 0, ty - y_lo, np.inf),
+                         np.where(y_hi < self.gy, y_hi - ty, np.inf)])
+        gaps *= self.h * (1 - _EPS)
+        return gaps
+
+    def radius(self, dist):
+        """Per node, a block radius r that holds every node within dist[u]
+        of node u; an infinite dist spans the grid."""
+        r = np.floor(dist / self.h + _EPS) + 1
+        return np.minimum(r, max(self.gx, self.gy)).astype(np.intp)
 
 
 def _grid(x, y) -> _Grid | None:
@@ -165,22 +215,15 @@ def _grid(x, y) -> _Grid | None:
     # square cells of _CELL_NODES nodes on average over the bounding box; a
     # set near a line gets one row of n / _CELL_NODES cells
     h = max(math.sqrt(w * hgt * _CELL_NODES / n), max(w, hgt) * _CELL_NODES / n)
-    tx, ty = (x - x0) / h, (y - y0) / h
-    gx, gy = int(w / h) + 1, int(hgt / h) + 1
-    cx, cy = tx.astype(np.intp), ty.astype(np.intp)
-    cell = cy * gx + cx
-    start = np.zeros(gx * gy + 1, np.intp)
-    np.cumsum(np.bincount(cell, minlength=gx * gy), out=start[1:])
-    return _Grid((x0, x1, y0, y1), h, tx, ty, gx, gy, cx, cy,
-                 cell.argsort(kind="stable"), start)
+    return _Grid(x, y, (x0, x1, y0, y1), h)
 
 
-def _gather(order, lo, size):
-    """The nodes of the runs order[lo:lo + size] of a grid's cell order, one
-    run after another, for flat arrays lo and size."""
+def _ranges(lo, size):
+    """The ranges [lo, lo + size) of the flat arrays lo and size, one after
+    another."""
     at = np.repeat(lo - size.cumsum() + size, size)
     at += np.arange(at.size)
-    return order.take(at)
+    return at
 
 
 def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
@@ -193,27 +236,26 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
     grid = _grid(x, y)
     if grid is None:
         return _build_directed(x, y, np.arange(n)[None], k, family)
-    (x0, x1, y0, y1), h, tx, ty, gx, gy, cx, cy, order, start = grid
+    x0, x1, y0, y1 = grid.box
     # The certificate. Node u's picks from its block are its picks from all
     # nodes if each of u's cones passes (a) or (b):
-    # (a) its pick's kernel key lies in [_KEY_MIN, gap * lim * (1 - _EPS)];
+    # (a) its pick's kernel key lies in [_KEY_MIN, gap * lim];
     # (b) it has no pick, and the regions beyond the block's sides, within
     #     the bounding box, miss the cone widened by _DELTA on both sides.
-    # gap is u's distance to the nearest block side with cells beyond it;
-    # every node off the table lies beyond such a side. Its Yao key is then
-    # at least gap, and its Theta key at least gap * lim with
-    # lim = cos(pi/k + _DELTA), for its angle to the bisector of the cone it
-    # is assigned to is at most pi/k + _DELTA: it cannot be picked or tie.
+    # gap is u's distance to the nearest block side with cells beyond it,
+    # from grid.gaps; every node off the table lies beyond such a side, at
+    # least gap away. Its Yao key is then at least gap, and its Theta key
+    # at least gap * lim with lim = cos(pi/k + _DELTA), for its angle to
+    # the bisector of the cone it is assigned to is at most pi/k + _DELTA:
+    # it cannot be picked or tie.
     # A pair's cone and key are the same elementwise steps on a table row as
     # on the shared row, so the nodes on the table are decided the same way.
-    # Why the margins hold: t = (x - x0)/h is off by less than 2**-51 * t
-    # and t <= n/2, so a gap, at least one cell, is off by less than
-    # 2**-51 * n relative; keys, and lim, are off by a few ulps. _EPS covers
-    # all of them below n = 2**30, far more points than fit in memory.
-    # arctan2 angles, cones and bisectors are off by less than 2**-45 rad,
-    # which _DELTA covers. Keys of _KEY_MIN and more, and spans below
-    # _SPAN_MAX, keep every square of a difference from underflowing or
-    # overflowing, where these bounds would fail.
+    # Why the margins hold: gaps take off _EPS relative, which covers their
+    # rounding (see _Grid) and the few ulps of keys and lim. arctan2
+    # angles, cones and bisectors are off by less than 2**-45 rad, which
+    # _DELTA covers. Keys of _KEY_MIN and more, and spans below _SPAN_MAX,
+    # keep every square of a difference from underflowing or overflowing,
+    # where these bounds would fail.
     lim = math.cos(math.pi / k + _DELTA) if family == THETA else 1.0
     bound = (x0 - x, x1 - x, y0 - y, y1 - y)
     widen = _DELTA * k / TAU
@@ -221,36 +263,20 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
     for r in _GRID_RADII:
         if not rows.size:
             break
-        # u's candidates: its block's cell rows, each a run [lo, lo + size)
-        # of the nodes in cell order
-        band = cy[rows, None] + np.arange(-r, r + 1)
-        band = np.where((band >= 0) & (band < gy), band * gx, -1)
-        lo = start.take(band + np.maximum(cx[rows] - r, 0)[:, None], mode="clip")
-        hi = start.take(band + np.minimum(cx[rows] + r, gx - 1)[:, None] + 1, mode="clip")
-        size = np.where(band < 0, 0, hi - lo)
-        failed = []
+        size, failed = grid.count(rows, r), []
         # tables of at most _TABLE_ENTRIES entries, one after another
-        step = max(1, _TABLE_ENTRIES // int(size.sum(1).max()))
+        step = max(1, _TABLE_ENTRIES // int(size.max()))
         for r0 in range(0, rows.size, step):
-            src = rows[r0:r0 + step]
-            count = size[r0:r0 + step].sum(1)
+            src, count = rows[r0:r0 + step], size[r0:r0 + step]
             m = int(count.max())
-            # the runs, one table row after another, padded with n; then
-            # each row ascending, its padding replaced by its largest candidate
+            # u's candidates are its block's nodes: a table row padded with
+            # n, then sorted, its padding replaced by its largest candidate
             table = np.full((src.size, m), n)
-            table[np.arange(m) < count[:, None]] = _gather(
-                order, lo[r0:r0 + step].reshape(-1), size[r0:r0 + step].reshape(-1))
+            table[np.arange(m) < count[:, None]] = grid.gather(src, r)
             table.sort(axis=1)
             np.minimum(table, table[np.arange(src.size), count - 1][:, None], out=table)
             got, cone, key = _build_directed(x, y, table, k, family, src)
-            # u's distances to its block's west, east, south and north
-            # sides, +inf where no cells lie beyond
-            ux, uy = cx[src], cy[src]
-            sides = np.array([np.where(ux > r, tx[src] - (ux - r), np.inf),
-                              np.where(ux + r < gx - 1, ux + r + 1 - tx[src], np.inf),
-                              np.where(uy > r, ty[src] - (uy - r), np.inf),
-                              np.where(uy + r < gy - 1, uy + r + 1 - ty[src], np.inf)])
-            sides *= h * (1 - _EPS)
+            sides = grid.gaps(src, r)
             slot[src] = np.arange(src.size)
             row = slot[got // n]
             ok = np.ones(src.size, bool)

@@ -132,22 +132,6 @@ def _bisectors(cone, k: int):
     return np.sin(theta), np.cos(theta)
 
 
-def _ranks(values):
-    """The distinct entries of the array values, ascending, and each entry's
-    index among them. Below a few thousand entries a sort and searchsorted
-    cost less than np.unique."""
-    distinct = _distinct(np.sort(values, axis=None))
-    return distinct, distinct.searchsorted(values)
-
-
-def _distinct(a):
-    """The distinct entries of the sorted 1-d array a."""
-    first = np.empty(a.size, bool)
-    first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first]
-
-
 def _as_int(value) -> int | None:
     """value as a plain int if it is an integer, numpy's included, and not
     a bool; None otherwise."""

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Point, _as_int, _check_k, _distinct
+from .geometry import Point, _as_int, _check_k
 
 YAO = "yao"
 THETA = "theta"
@@ -305,7 +305,10 @@ def _symmetric_keys(keys, n: int) -> np.ndarray:
     u, v = np.divmod(keys, n)
     keys = np.concatenate((keys, keys + (v - u) * (n - 1)))
     keys.sort()
-    return _distinct(keys)
+    first = np.empty(keys.size, bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _csr(keys, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,9 @@ witnesses of the exhaustive scan bit for bit:
 - Cells (_cell_witnesses), for graphs with k >= 3 of at least
   _CELL_SCAN_NODES nodes: (u, v) can be a void only where v lies in u's
   Voronoi cell among u and its neighbors. A certified bound on that cell
-  (_cell_reach) and the grid index construction uses (construct._grid)
-  limit u's targets to a few nearby nodes, and distances come from the
-  coordinates, so no n x n array is built.
+  (_cell_reach) limits u's targets to a block of cells around it, from
+  the grid query construction uses (construct._Grid), and distances
+  come from the coordinates, so no n x n array is built.
 
 check_by_routing is an independent oracle through greedy forwarding; it
 still reads the distance matrix.
@@ -36,20 +36,20 @@ import numpy as np
 
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
-from .geometry import _bisectors, _check_k, _cones, _ranks, cone_of  # noqa: F401
+from .geometry import _bisectors, _check_k, _cones, cone_of  # noqa: F401
 from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness, _norm
 from .construct import (
-    _BLOCK_PAIRS, _DELTA, _EPS, _KEY_MIN, _gather, _grid, _own_slots,
+    _BLOCK_PAIRS, _DELTA, _EPS, _KEY_MIN, _grid, _own_slots, _ranges,
     build_directed_theta, build_directed_yao,
 )
 from .routing import greedy_route
 
-# Distance-matrix entries per pair-scan gather. A block of
-# _SCAN_BLOCK // n source rows gathers the distance rows of as many of
-# their neighbor slots at a time as fit, one slot at a time at large n.
-# Gathering all slots at once is up to maxdeg times larger, and raised
-# the sweep benchmark's peak RSS by about 0.5 MiB. On a 2-core x86-64 VM
-# 1,000-node scans ran fastest near 2**15 entries (256 KiB per gather).
+# Distance-matrix entries per pair-scan gather: a block of _SCAN_BLOCK // m
+# source rows of m candidates gathers as many neighbor slots' rows at a
+# time as fit (all at once raised the sweep benchmark's peak RSS by about
+# 0.5 MiB). On a 2-core x86-64 VM, 2**15 (256 KiB) against 2**14 scanned
+# graphs of 2 to 60 nodes in 0.018 against 0.019 ms, of 60 to 120 in 0.056
+# against 0.065 ms, and of 200 to 400 in 0.45 against 0.47 ms.
 _SCAN_BLOCK = 1 << 15
 
 # The cell-bounded scan (_cell_witnesses) serves graphs with k >= 3 of at
@@ -95,7 +95,8 @@ def has_void(g: GeometricGraph) -> bool:
     """Short-circuit variant of check_void_free: True at the first void.
 
     Runs the same scan and stops after the first block of source rows
-    that holds a witness; used in bulk by the counterexample search.
+    that holds a witness. The counterexample search calls it on its first
+    trial; its batches scan through corpus._first_void.
     """
     return next(_scan(g), None) is not None
 
@@ -162,34 +163,19 @@ def _void_witnesses(dist, cols, indptr, indices):
 def _cell_witnesses(x, y, grid, indptr, indices):
     """The pair scan over one undirected graph from its coordinates, without
     a distance matrix. u's targets are the nodes within its reach
-    (_cell_reach), found through the grid (construct._grid); a node without
-    a certified reach gets every node. Yields as _scan does, in pieces of
-    about _CELL_ENTRIES gathered candidates."""
+    (_cell_reach), gathered through the grid's block query
+    (construct._Grid); a node without a certified reach gets every node.
+    Yields as _scan does, in pieces of about _CELL_ENTRIES gathered
+    candidates."""
     n = len(x)
     rows = max(1, _CELL_ENTRIES // (int((indptr[1:] - indptr[:-1]).max()) + 4))
-    reach = np.concatenate([_cell_reach(x, y, grid, indptr, indices, np.arange(a, min(a + rows, n)))
-                            for a in range(0, n, rows)])
+    reach = np.concatenate([_cell_reach(x, y, grid.box, indptr, indices,
+                                        np.arange(a, min(a + rows, n))) for a in range(0, n, rows)])
     reach *= 1 + _EPS
-    gx, gy, cx, cy, order, start = grid.gx, grid.gy, grid.cx, grid.cy, grid.order, grid.start
-    # u's block: the cells within r = floor(reach / h + _EPS) + 1 of its own.
-    # A node off the block is more than r cells from u in x or y, in cell
-    # units t = (x - x0)/h, which are off by less than 2**-51 * t, t <= n/2:
-    # it lies beyond reach below n = 2**30. Infinite reaches span the grid.
-    r = np.minimum(np.floor(reach / grid.h + _EPS) + 1, max(gx, gy)).astype(np.intp)
-    x_lo, x_hi = np.maximum(cx - r, 0), np.minimum(cx + r, gx - 1) + 1
-    y_lo, y_hi = np.maximum(cy - r, 0), np.minimum(cy + r, gy - 1) + 1
-    # each block's node count, from 2-d prefix sums of the cell counts
-    total = np.zeros((gy + 1, gx + 1), np.intp)
-    total[1:, 1:] = np.diff(start).reshape(gy, gx).cumsum(0).cumsum(1)
-    count = total[y_hi, x_hi] - total[y_lo, x_hi] - total[y_hi, x_lo] + total[y_lo, x_lo]
-    runs = y_hi - y_lo
-    for a, b in _pieces(count + runs):
-        # the block's cell rows, one run [lo, lo + size) of cell order each
-        nrun = runs[a:b]
-        owner = np.repeat(np.arange(a, b), nrun)
-        row = np.repeat(y_lo[a:b] - nrun.cumsum() + nrun, nrun) + np.arange(nrun.sum())
-        lo = start.take(row * gx + x_lo[owner])
-        v = _gather(order, lo, start.take(row * gx + x_hi[owner]) - lo)
+    r = grid.radius(reach)
+    count = grid.count(np.arange(n), r)
+    for a, b in _pieces(count):
+        v = grid.gather(np.arange(a, b), r[a:b])
         u = np.repeat(np.arange(a, b), count[a:b])
         d = _norm(x.take(v) - x.take(u), y.take(v) - y.take(u))
         near = d <= reach.take(u)
@@ -212,8 +198,7 @@ def _nearest(x, y, u, v, indptr, indices):
     best = np.full(len(u), np.inf)
     for a, b in _pieces(deg):
         k = deg[a:b]
-        slots = np.repeat(indptr.take(u[a:b]) - k.cumsum() + k, k) + np.arange(k.sum())
-        w = indices.take(slots)
+        w = indices.take(_ranges(indptr.take(u[a:b]), k))
         t = np.repeat(v[a:b], k)
         dist = _norm(x.take(t) - x.take(w), y.take(t) - y.take(w))
         some = k > 0
@@ -231,7 +216,7 @@ def _pieces(cost):
     return zip([0, *ends[:-1]], ends)
 
 
-def _cell_reach(x, y, grid, indptr, indices, src):
+def _cell_reach(x, y, box, indptr, indices, src):
     """Each node u's reach: a distance beyond which no node v is a witness
     (u, v) in doubles, or +inf where that is not certified.
 
@@ -259,7 +244,7 @@ def _cell_reach(x, y, grid, indptr, indices, src):
     clears _DELTA of its scale, so R is off by less than 2**-25 relative.
     """
     n = len(src)
-    x0, x1, y0, y1 = grid.box
+    x0, x1, y0, y1 = box
     scale = math.ldexp(1.0, 1 - math.frexp(max(x1 - x0, y1 - y0))[1])
     first, deg = indptr.take(src), indptr.take(src + 1) - indptr.take(src)
     width = int(deg.max())
@@ -418,7 +403,8 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
         dy = y - y[r0:r1, None]
         cone = _cones(dx, dy, k)
         # ranking the cone values makes (row, cone) a dense slot whatever k is
-        vals, rank = _ranks(cone)
+        vals, rank = np.unique(cone, return_inverse=True)
+        rank = rank.reshape(cone.shape)  # numpy 1.x returns it flat
         slots = b * len(vals)
         slot = rank + np.arange(0, slots, len(vals))[:, None]
         # each pair's pick w is u's edge in v's cone; keys are sorted by source

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from conegraph import construct
 from conegraph.construct import (
     _BLOCK_PAIRS,
+    _EPS,
     _build_directed,
+    _grid,
     build,
     build_directed_theta,
     build_directed_yao,
@@ -603,3 +605,58 @@ def test_grid_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatch):
         n = len(nodes)
         assert n <= sum(tabled) < (1 + second_round) * n
         assert sum(shared) < last * n
+
+
+# ---------------------------------------------------------------------------
+# the grid's block query against a brute-force cell filter
+
+
+def block_members(grid, r):
+    """members[u, v] counts the times node v is gathered into u's block of
+    radius r (one int, or one per node)."""
+    n = len(grid.cx)
+    count, nodes = grid.count(np.arange(n), r), grid.gather(np.arange(n), r)
+    assert count.sum() == nodes.size
+    members = np.zeros((n, n), int)
+    np.add.at(members, (np.repeat(np.arange(n), count), nodes), 1)
+    return members
+
+
+@pytest.mark.parametrize("points", [lattices(), on_cell_edges(), clusters()],
+                         ids=["lattices", "cell_edges", "clusters"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_grid_block_query_matches_brute_force(points, data):
+    x, y = nodes_at(dict.fromkeys(data.draw(points, "points"))).coordinates()
+    grid = _grid(x, y)
+    n, h, (x0, _, y0, _) = len(x), grid.h, grid.box
+    cx, cy = grid.cx, grid.cy
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    beyond = max(grid.gx, grid.gy) + 1
+    dist = np.hypot(x - x[:, None], y - y[:, None])
+    # radii that clip at every side of small grids, exceed the grid, or
+    # differ per node
+    for r in (0, 1, 2, 4, beyond, rng.integers(0, beyond + 1, n)):
+        rr = np.broadcast_to(r, n)[:, None]
+        inside = (abs(cx - cx[:, None]) <= rr) & (abs(cy - cy[:, None]) <= rr)
+        # each block holds every node of the cells within r, once
+        assert (block_members(grid, r) == inside).all()
+        # gaps are the distances to the block sides with cells beyond them
+        lo_x, hi_x, lo_y, hi_y = cx - rr[:, 0], cx + rr[:, 0] + 1, cy - rr[:, 0], cy + rr[:, 0] + 1
+        want = np.array([np.where(lo_x > 0, x - (x0 + lo_x * h), np.inf),
+                         np.where(hi_x < grid.gx, x0 + hi_x * h - x, np.inf),
+                         np.where(lo_y > 0, y - (y0 + lo_y * h), np.inf),
+                         np.where(hi_y < grid.gy, y0 + hi_y * h - y, np.inf)])
+        gaps = grid.gaps(np.arange(n), r)
+        assert (np.isinf(gaps) == np.isinf(want)).all()
+        assert np.allclose(gaps[np.isfinite(gaps)], want[np.isfinite(want)],
+                           rtol=4 * _EPS, atol=h * _EPS)
+        # from r = 1 on, and certainly at 2 and 4, where construction uses
+        # them, they bound the distance to every node off the block
+        if np.all(r >= 1):
+            assert (np.where(inside, np.inf, dist) >= gaps.min(0)[:, None]).all()
+    # the radius for a distance holds every node within it: none, the
+    # distance to a random node, which lies on the edge, any, and all
+    for d in (np.zeros(n), dist[np.arange(n), rng.integers(0, n, n)],
+              rng.random(n) * dist.max(), np.full(n, np.inf)):
+        assert (block_members(grid, grid.radius(d)) >= (dist <= d[:, None])).all()

@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from conegraph.construct import build_directed_theta, build_directed_yao, undirect
 from conegraph.corpus import _ENTRY_TABLE, V2_RAY_TOL, CorpusEntry, validate_v2_constraints
 from conegraph.geometry import TAU, Point
-from conegraph.model import NodeSet, distance, graphs_equal
+from conegraph.model import NodeSet, distance, graphs_equal, node_set_to_json
 from conegraph.voidcheck import check_void_free
 
 MARGIN = 0.05  # absolute slack required on witness / circle inequalities
@@ -231,8 +231,6 @@ def main() -> int:
             print(f"{name}: no hit within budget", file=sys.stderr)
             failed.append(name)
             continue
-        from conegraph.model import node_set_to_json
-
         path = out_dir / f"{name.lower()}.json"
         path.write_text(node_set_to_json(found))
         print(f"{name}: wrote {path}")
