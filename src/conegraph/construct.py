@@ -31,12 +31,12 @@ sorted keys u*n + v in one of two ways, chosen from n and k:
   of grid cells (_Grid.gather, the query the void scan shares),
   ascending and padded as in the batch, and the same kernel picks from
   it. A node's picks are kept only if a certificate proves that no node
-  off its row could be picked or tie: each pick's key is below the gap
-  to the block's nearest side with cells beyond it (_Grid.gaps; times
-  cos(pi/k) for Theta), and each cone without a pick stays inside the
-  block as far as the bounding box reaches, with margins for rounding
-  (see _grid_keys). The others get a larger block, then the shared row,
-  so every edge is the shared row's.
+  off its row could be picked or tie: in every cone, its pick's key (+inf
+  where it has none) is at most the gap to the nearest block side whose
+  region beyond can hold a node in that cone (_Grid.cone_gaps; times
+  cos(pi/k) for Theta), with margins for rounding (see _grid_keys). The
+  others get a larger block, then the shared row, so every edge is the
+  shared row's.
 
 undirect merges the keys with their reverses. No step builds an edge
 tuple or checks the keys again (see model.GeometricGraph._from_keys).
@@ -140,16 +140,22 @@ class _Grid:
     holds the nodes order[start[c]:start[c + 1]], ascending, and total[j, i]
     counts the nodes in the cells below row j and left of column i.
 
-    No code outside this class works in cell units. Their rounding: t =
-    (x - x0)/h is off by less than 2**-51 * t, and t <= n/2 (see _grid), so
-    by less than 2**-52 * n, and a difference of two by less than 2**-21
-    for n below 2**30, far more points than fit in memory. So radius adds
-    _EPS cells, and gaps, a cell or more from r = 1 on, take off _EPS
-    relative, which leaves room for a few ulps of the keys they bound."""
+    Its queries, on the block of cells around each node (block): count,
+    gather, gaps (to the block sides with cells beyond them), cone_gaps
+    (the same per cone) and radius (the block that holds a distance). No
+    code outside this class works in cell units or with a block's shape.
+
+    Their rounding: t = (x - x0)/h is off by less than 2**-51 * t, and t <=
+    n/2 (see _grid), so by less than 2**-52 * n, and a difference of two by
+    less than 2**-21 for n below 2**30, far more points than fit in memory.
+    So radius adds _EPS cells, and gaps, a cell or more from r = 1 on, take
+    off _EPS relative, which leaves room for a few ulps of the keys they
+    bound. arctan2 angles, and so cones and bisectors, are off by less than
+    2**-45 rad, which cone_gaps' widening by _DELTA covers."""
 
     def __init__(self, x, y, box, h):
         x0, x1, y0, y1 = self.box = box
-        self.h = h
+        self.x, self.y, self.h = x, y, h
         self.tx, self.ty = (x - x0) / h, (y - y0) / h
         self.gx, self.gy = gx, gy = int((x1 - x0) / h) + 1, int((y1 - y0) / h) + 1
         self.cx, self.cy = self.tx.astype(np.intp), self.ty.astype(np.intp)
@@ -195,6 +201,33 @@ class _Grid:
         gaps *= self.h * (1 - _EPS)
         return gaps
 
+    def cone_gaps(self, rows, r, k: int):
+        """gap[j, i - 1], for node u = rows[j] and cone i = 1..k, is the least
+        of u's gaps to the block sides whose region beyond, inside the bounding
+        box, meets cone i widened by _DELTA on both sides; +inf if none does.
+        From r = 1 on, no node off u's block that geometry._cones puts in
+        cone i is nearer. The regions' corners sit at the gaps, which can
+        only widen them, in coordinates, not cell units."""
+        west, east, south, north = self.gaps(rows, r)
+        (x0, x1, y0, y1), x, y = self.box, self.x[rows], self.y[rows]
+        left, right, low, high = x0 - x, x1 - x, y0 - y, y1 - y
+        widen = _DELTA * k / TAU
+        gap = np.full((len(x), k), np.inf)
+        # seen from u, the region beyond a side spans the angles from its
+        # first corner clockwise to its second, less than pi
+        for side, first, second in ((east, (east, high), (east, low)),
+                                    (south, (right, -south), (left, -south)),
+                                    (west, (-west, low), (-west, high)),
+                                    (north, (left, north), (right, north))):
+            a, b = _turns(*first, k), _turns(*second, k)
+            b += (b < a) * k
+            # cone i, widened, meets [a, b] (in turns * k) if, mod k,
+            # ceil(a - widen) <= i <= floor(b + 1 + widen)
+            a = np.ceil(a - widen).astype(np.intp)[:, None]
+            hit = (np.arange(1, k + 1) - a) % k <= np.floor(b + 1 + widen)[:, None] - a
+            np.minimum(gap, side[:, None], out=gap, where=hit)
+        return gap
+
     def radius(self, dist):
         """Per node, a block radius r that holds every node within dist[u]
         of node u; an infinite dist spans the grid."""
@@ -236,29 +269,21 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
     grid = _grid(x, y)
     if grid is None:
         return _build_directed(x, y, np.arange(n)[None], k, family)
-    x0, x1, y0, y1 = grid.box
-    # The certificate. Node u's picks from its block are its picks from all
-    # nodes if each of u's cones passes (a) or (b):
-    # (a) its pick's kernel key lies in [_KEY_MIN, gap * lim];
-    # (b) it has no pick, and the regions beyond the block's sides, within
-    #     the bounding box, miss the cone widened by _DELTA on both sides.
-    # gap is u's distance to the nearest block side with cells beyond it,
-    # from grid.gaps; every node off the table lies beyond such a side, at
-    # least gap away. Its Yao key is then at least gap, and its Theta key
-    # at least gap * lim with lim = cos(pi/k + _DELTA), for its angle to
-    # the bisector of the cone it is assigned to is at most pi/k + _DELTA:
-    # it cannot be picked or tie.
-    # A pair's cone and key are the same elementwise steps on a table row as
-    # on the shared row, so the nodes on the table are decided the same way.
-    # Why the margins hold: gaps take off _EPS relative, which covers their
-    # rounding (see _Grid) and the few ulps of keys and lim. arctan2
-    # angles, cones and bisectors are off by less than 2**-45 rad, which
-    # _DELTA covers. Keys of _KEY_MIN and more, and spans below _SPAN_MAX,
-    # keep every square of a difference from underflowing or overflowing,
-    # where these bounds would fail.
+    # The certificate, one rule: node u's picks from its block are its
+    # picks from all nodes if, in every cone i, the kernel key of its pick
+    # (+inf where the block has none in cone i) lies in [_KEY_MIN, gap_i *
+    # lim], gap_i from grid.cone_gaps. Every node off the block that the
+    # kernel puts in cone i is at least gap_i away, so its Yao key is at
+    # least gap_i, and its Theta key at least gap_i * lim with lim =
+    # cos(pi/k + _DELTA), for its angle to the bisector of its cone is at
+    # most pi/k + _DELTA: it cannot be picked or tie, and an empty cone
+    # passes only if no such node exists (gap_i = +inf). A pair's cone and
+    # key are the same elementwise steps on a table row as on the shared
+    # row, so the nodes on the table are decided the same way. Margins:
+    # gaps take off _EPS relative, which covers their rounding (see _Grid)
+    # and the few ulps of keys and lim; keys of _KEY_MIN and more, and
+    # spans below _SPAN_MAX, keep squares of differences normal and finite.
     lim = math.cos(math.pi / k + _DELTA) if family == THETA else 1.0
-    bound = (x0 - x, x1 - x, y0 - y, y1 - y)
-    widen = _DELTA * k / TAU
     rows, keys, slot = np.arange(n), [], np.empty(n, np.intp)
     for r in _GRID_RADII:
         if not rows.size:
@@ -276,32 +301,11 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
             table.sort(axis=1)
             np.minimum(table, table[np.arange(src.size), count - 1][:, None], out=table)
             got, cone, key = _build_directed(x, y, table, k, family, src)
-            sides = grid.gaps(src, r)
             slot[src] = np.arange(src.size)
             row = slot[got // n]
-            ok = np.ones(src.size, bool)
-            ok[row[~((key >= _KEY_MIN) & (key <= sides.min(0)[row] * lim))]] = False
-            empty = np.ones((src.size, k + 1), bool)
-            empty[row, cone.astype(np.intp)] = False
-            test = (ok & empty[:, 1:].any(1)).nonzero()[0]
-            if test.size:
-                west, east, south, north = sides[:, test]
-                left, right, low, high = (b[src[test]] for b in bound)
-                hits = np.zeros((test.size, k), bool)
-                # seen from u, the region beyond a side spans the angles from
-                # its first corner clockwise to its second, less than pi
-                for gap, first, second in ((east, (east, high), (east, low)),
-                                           (south, (right, -south), (left, -south)),
-                                           (west, (-west, low), (-west, high)),
-                                           (north, (left, north), (right, north))):
-                    a, b = _turns(*first, k), _turns(*second, k)
-                    b += (b < a) * k
-                    # cone i, widened, meets [a, b] (in turns * k) if, mod k,
-                    # ceil(a - widen) <= i <= floor(b + 1 + widen)
-                    a = np.ceil(a - widen)[:, None]
-                    hits |= ((np.arange(1, k + 1) - a) % k <= np.floor(b + 1 + widen)[:, None] - a) & (
-                        gap < np.inf)[:, None]
-                ok[test] = ~(hits & empty[test, 1:]).any(1)
+            best = np.full((src.size, k), np.inf)
+            best[row, cone.astype(np.intp) - 1] = key
+            ok = ((best >= _KEY_MIN) & (best <= grid.cone_gaps(src, r, k) * lim)).all(1)
             keys.append(got[ok[row]])
             failed.append(src[~ok])
         rows = np.concatenate(failed)

@@ -220,8 +220,8 @@ def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:
     block = next(_void_witnesses(_distances(x, y, cols), cols, *_csr(keys, len(x))), None)
     if block is None:
         return None
-    r0, mask = block[:2]  # its first witness is in the first set with a void
-    return int(ends.searchsorted(r0 + mask.argmax() // cols.shape[1], side="right"))
+    u = block[0][0]  # the first witness is in the first set with a void
+    return int(ends.searchsorted(u, side="right"))
 
 
 def _confirmed(g, trials: int) -> SearchResult:

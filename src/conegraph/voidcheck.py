@@ -115,13 +115,7 @@ def _scan(g: GeometricGraph):
         grid = _grid(x, y)
         if grid is not None:
             return _cell_witnesses(x, y, grid, *g.csr)
-    return _matrix_witnesses(g)
-
-
-def _matrix_witnesses(g: GeometricGraph):
-    for r0, mask, d, best in _void_witnesses(g.dist_matrix, np.arange(len(g.nodes))[None], *g.csr):
-        us, vs = mask.nonzero()
-        yield us + r0, vs, d[mask], best[mask]
+    return _void_witnesses(g.dist_matrix, np.arange(len(g.nodes))[None], *g.csr)
 
 
 def _void_witnesses(dist, cols, indptr, indices):
@@ -129,10 +123,9 @@ def _void_witnesses(dist, cols, indptr, indices):
     whose nodes has the same row in the candidate table cols (see
     construct._build_directed):
     dist[u, j] = d(u, cols[u, j]), and indptr, indices are the keys' CSR.
-    Yields each block of source rows that holds a witness, in order, as
-    (r0, mask, d, best): over rows u = r0 + r and columns j, mask marks the
-    witnesses (u, cols[u, j]), d[r, j] = dist[u, j], and best[r, j] is the
-    distance to cols[u, j] of u's neighbor nearest to it."""
+    Yields as _scan does, per block of source rows that holds a witness,
+    with v = cols[u, j] read from the table, in column order. A table row
+    padded by repeating a candidate repeats that candidate's record."""
     n, m = dist.shape
     deg = indptr[1:] - indptr[:-1]
     width = max(1, int(deg.max()))
@@ -157,7 +150,9 @@ def _void_witnesses(dist, cols, indptr, indices):
         mask = best >= d
         mask.reshape(-1)[_own_slots(cols, r0, r1)] = False  # u == v
         if np.count_nonzero(mask):
-            yield r0, mask, d, best
+            r, j = mask.nonzero()
+            u = r + r0
+            yield u, cols[u if len(cols) > 1 else 0, j], d[mask], best[mask]
 
 
 def _cell_witnesses(x, y, grid, indptr, indices):

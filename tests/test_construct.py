@@ -660,3 +660,31 @@ def test_grid_block_query_matches_brute_force(points, data):
     for d in (np.zeros(n), dist[np.arange(n), rng.integers(0, n, n)],
               rng.random(n) * dist.max(), np.full(n, np.inf)):
         assert (block_members(grid, grid.radius(d)) >= (dist <= d[:, None])).all()
+
+
+@pytest.mark.parametrize("points", [lattices(), on_cell_edges(), clusters()],
+                         ids=["lattices", "cell_edges", "clusters"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_grid_cone_gaps_match_brute_force(points, data):
+    x, y = nodes_at(dict.fromkeys(data.draw(points, "points"))).coordinates()
+    grid = _grid(x, y)
+    n, cx, cy = len(x), grid.cx, grid.cy
+    k = data.draw(st.integers(3, construct._GRID_MAX_K), "k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    beyond = max(grid.gx, grid.gy) + 1
+    dist = np.hypot(x - x[:, None], y - y[:, None])
+    # the cone of v around u, as the construction kernel assigns it
+    cone = _cones(x - x[:, None], y - y[:, None], k).astype(np.intp) - 1
+    for r in (1, 2, 4, beyond, rng.integers(1, beyond + 1, n)):
+        rr = np.broadcast_to(r, n)[:, None]
+        off = ~((abs(cx - cx[:, None]) <= rr) & (abs(cy - cy[:, None]) <= rr))
+        gap = grid.cone_gaps(np.arange(n), r, k)
+        assert gap.shape == (n, k)
+        # every gap is at least the least side gap
+        assert (gap >= grid.gaps(np.arange(n), r).min(0)[:, None]).all()
+        at = np.take_along_axis(gap, cone, axis=1)
+        # a cone whose gap is +inf holds no node off the block, and each node
+        # off u's block is at least its cone's gap from u
+        assert not np.isinf(at[off]).any()
+        assert (at[off] <= dist[off]).all()
