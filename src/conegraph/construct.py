@@ -30,13 +30,16 @@ sorted keys u*n + v in one of two ways, chosen from n and k:
   _GRID_CONE_NODES * k nodes: each node's row is the nodes in its block
   of grid cells (_Grid.gather, the query the void scan shares),
   ascending and padded as in the batch, and the same kernel picks from
-  it. A node's picks are kept only if a certificate proves that no node
-  off its row could be picked or tie: in every cone, its pick's key (+inf
-  where it has none) is at most the gap to the nearest block side whose
-  region beyond can hold a node in that cone (_Grid.cone_gaps; times
-  cos(pi/k) for Theta), with margins for rounding (see _grid_keys). The
-  others get a larger block, then the shared row, so every edge is the
-  shared row's.
+  it. The cells follow density: their side is set from the occupied
+  cells, over a box that clamps the few extreme nodes into its edge
+  cells (see _grid), and a node's block is the least that holds
+  _ROW_NODES nodes per cone. A node's picks are kept only if a
+  certificate proves that no node off its row could be picked or tie: in
+  every cone, its pick's key (+inf where it has none) is at most the gap
+  to the nearest block side whose region beyond can hold a node in that
+  cone (_Grid.cone_gaps; times cos(pi/k) for Theta), with margins for
+  rounding (see _grid_keys). The others get a block of twice the radius,
+  then the shared row, so every edge is the shared row's.
 
 undirect merges the keys with their reverses. No step builds an edge
 tuple or checks the keys again (see model.GeometricGraph._from_keys).
@@ -63,28 +66,50 @@ _BLOCK_PAIRS = 1 << 14
 # unit square, and sets of 8 Gaussian clusters with sigma 0.01, as the
 # benchmark's `large` workload draws them. A cone's pick lies farther away
 # the narrower the cone, so more rows fall through to the shared row as k
-# grows, and the crossover n grows with k: at n = 120k clustered sets ran
-# 0.85 to 1.22 times as fast, at 150k 0.95 to 1.46 (uniform ones 1.2 to
-# 3.8), for k from 3 to 32. Above k = 32 the gain on uniform sets fell
-# below 1.3, and the certificate keeps (rows, k) arrays.
+# grows, and the crossover n grows with k. With cells that follow density
+# (best of 3, three seeds, k = 3, 4, 6, 8, 12, 16, 24 and 32), clustered
+# sets ran 0.88 to 1.25 times as fast at n = 120k and 1.05 to 1.48 at 150k,
+# and uniform ones 1.10 to 4.06 and 1.33 to 5.07. Above k = 32 the gain on
+# uniform sets fell below 1.3 with cells over the bounding box, and the
+# certificate keeps (rows, k) arrays.
 _GRID_CONE_NODES = 150
 _GRID_MAX_K = 32
-# Cells hold _CELL_NODES nodes on average, and round i's block is the
-# (2r + 1)**2 cells around a node's cell for r = _GRID_RADII[i]. Of 1, 1.5,
-# 2, 3 and 4 nodes per cell and the radii (1, 2), (1, 3), (2,), (2, 3),
-# (2, 4), (2, 5) and (3,), these were within 7% of the fastest on uniform
-# sets of 1,000 and 3,000 nodes for the k the gate admits there, and within
-# 15% on the clustered ones, where the second round certifies few rows.
+# The occupied cells hold _CELL_NODES nodes on average (see _grid), and
+# round 1's block around a node is the least that holds _ROW_NODES nodes
+# per cone, for at least 6 cones (see _grid_keys): narrower cones reach
+# farther for their picks. Measured on a 2-core x86-64 VM, build and scan,
+# medians of 3 to 150 alternations, on the benchmark's `large` sets (n =
+# 1,000) and on uniform and 8-cluster sets of 3,000 and 30,000 nodes: 1.5,
+# 2, 2.5 and 3 nodes per cell were within 8% of one another on every set.
+# Against a block of 40 nodes, 36 ran 2.5 to 3.5% faster on the uniform
+# `large` sets and within 2.5% on the clustered ones, and within 3% on the
+# 3,000-node sets at k = 6 to 16 but 7% slower on uniform k = 3; 32 ran 9
+# to 11% slower than 40 there at k = 3, 12 and 16. At k = 12 and 16, 6
+# nodes per cone ran 2 to 10% faster than 3 on the 3,000-node sets, and 19
+# to 26% faster at k = 12 on the 30,000-node ones.
 _CELL_NODES = 2
-_GRID_RADII = (2, 4)
+_ROW_NODES = 6
+# The cell box leaves out the n // _CLAMP_RANK + 1 extreme nodes on each
+# side of each axis, _GRID_PASSES passes over the occupied cells set the
+# cell side, and the cells number at most _MAX_CELLS * n (see _grid). 64,
+# 128 and 256 timed alike on `large`'s sets and a 3,000-node one-outlier
+# set. One pass left the clustered `large` scan gathering 74,104 targets,
+# two 52,605 and three 49,875. Caps of 16 and 32 ran within 4% of each
+# other on 8-cluster sets of 1,000 to 30,000 nodes, and 8 ran 2 to 8% slower
+# at 1,000; at 32 their cells number about 14n (1,000 nodes) to 16n.
+_CLAMP_RANK = 128
+_GRID_PASSES = 2
+_MAX_CELLS = 32
 # Grid tables are built and run in pieces of at most _TABLE_ENTRIES
-# entries. The 1,000-node clustered set of the benchmark's `large` workload
-# at seed 8675309 has a 250,000-entry first table; built whole, it raised
-# the workload's peak RSS from 53.8 to 56.9 MiB (in 2**17-entry pieces the
-# seed-0 sets still added 1.6 MiB). In 2**16-entry pieces its CLI calls
-# peaked 0.3 MiB above the shared row's, and 1,000-node builds took about
-# 5% longer.
-_TABLE_ENTRIES = 1 << 16
+# entries. Built whole, the first table of the `large` workload's
+# seed-8675309 clustered set (250,000 entries over cells that spanned the
+# bounding box) raised the workload's peak RSS from 53.8 to 56.9 MiB. Rows
+# are cut in order of block size, so every piece but the last is nearly
+# full: at 2**16 entries `large` then read a peak RSS 0.2 MiB above that of
+# cells over the bounding box, whose pieces were part-full (10 pairs), and
+# at 2**15 0.09 MiB above (5 pairs), while 1,000-node builds and scans ran
+# as fast (medians of 200 in-process alternations).
+_TABLE_ENTRIES = 1 << 15
 # The certificate's margins, and the key and span range where its
 # rounding bounds hold (see _grid_keys)
 _EPS = 2.0**-20
@@ -134,36 +159,51 @@ def _directed_graph(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
 
 
 class _Grid:
-    """A cell index over the nodes at x, y: square cells of side h over the
-    bounding box (x0, x1, y0, y1), gx wide and gy high. Node i lies at
-    (tx[i], ty[i]) in cell units, in cell (cx[i], cy[i]); cell c = cy*gx + cx
-    holds the nodes order[start[c]:start[c + 1]], ascending, and total[j, i]
-    counts the nodes in the cells below row j and left of column i.
+    """A cell index over the nodes at x, y: square cells of side h, gx wide
+    and gy high, over the cell box (x0, x1, y0, y1), which holds all but the
+    set's extreme nodes on each axis (see _grid). Node i lies at (tx[i],
+    ty[i]) in cell units, its coordinates clamped into the cell box, in cell
+    (cx[i], cy[i]); cell c = cy*gx + cx holds the nodes order[start[c]:start[c
+    + 1]], ascending, and total[j, i] counts the nodes in the cells below row
+    j and left of column i. box is the set's bounding box.
 
     Its queries, on the block of cells around each node (block): count,
     gather, gaps (to the block sides with cells beyond them), cone_gaps
-    (the same per cone) and radius (the block that holds a distance). No
-    code outside this class works in cell units or with a block's shape.
+    (the same per cone), radius (the block that holds a distance) and fill
+    (the block that holds a number of nodes). No code outside this class
+    works in cell units or with a block's shape.
+
+    Clamping keeps the order of coordinates, moves no two apart, and moves a
+    node only toward the cell box. So two nodes d apart lie at most d/h
+    apart in cell units, and radius still covers every node within a
+    distance; a node whose cell lies beyond a block side lies beyond that
+    side; and a node's gaps, taken from its clamped place, are at most its
+    true distances to those sides, so they stay lower bounds.
 
     Their rounding: t = (x - x0)/h is off by less than 2**-51 * t, and t <=
-    n/2 (see _grid), so by less than 2**-52 * n, and a difference of two by
-    less than 2**-21 for n below 2**30, far more points than fit in memory.
-    So radius adds _EPS cells, and gaps, a cell or more from r = 1 on, take
-    off _EPS relative, which leaves room for a few ulps of the keys they
-    bound. arctan2 angles, and so cones and bisectors, are off by less than
-    2**-45 rad, which cone_gaps' widening by _DELTA covers."""
+    16n (_MAX_CELLS * n / 2, see _grid), so by less than 2**-47 * n, and a
+    difference of two by less than 2**-21 for n below 2**25, more points
+    than a NodeSet holds in memory. So radius adds _EPS cells, and gaps, a
+    cell or more from r = 1 on, take off _EPS relative, which leaves room
+    for a few ulps of the keys they bound. arctan2 angles, and so cones and
+    bisectors, are off by less than 2**-45 rad, which cone_gaps' widening
+    by _DELTA covers."""
 
-    def __init__(self, x, y, box, h):
-        x0, x1, y0, y1 = self.box = box
-        self.x, self.y, self.h = x, y, h
-        self.tx, self.ty = (x - x0) / h, (y - y0) / h
+    def __init__(self, x, y, box, cells, h):
+        x0, x1, y0, y1 = self.cells = cells
+        self.x, self.y, self.box, self.h = x, y, box, h
+        self.tx, self.ty = _units(x, x0, x1, h), _units(y, y0, y1, h)
         self.gx, self.gy = gx, gy = int((x1 - x0) / h) + 1, int((y1 - y0) / h) + 1
         self.cx, self.cy = self.tx.astype(np.intp), self.ty.astype(np.intp)
         cell = self.cy * gx + self.cx
         counts = np.bincount(cell, minlength=gx * gy)
         self.order = cell.argsort(kind="stable")
-        self.start = np.append(0, counts.cumsum())
-        self.total = np.pad(counts.reshape(gy, gx).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+        # prefix sums, built in place; int32 holds counts of up to n nodes
+        self.start = np.zeros(gx * gy + 1, np.int32)
+        counts.cumsum(out=self.start[1:])
+        self.total = np.zeros((gy + 1, gx + 1), np.int32)
+        inner = self.total[1:, 1:]
+        counts.reshape(gy, gx).cumsum(0, out=inner).cumsum(1, out=inner)
 
     def block(self, rows, r):
         """The block of the cells within r of node u's cell in x and in y,
@@ -234,21 +274,67 @@ class _Grid:
         r = np.floor(dist / self.h + _EPS) + 1
         return np.minimum(r, max(self.gx, self.gy)).astype(np.intp)
 
+    def fill(self, rows, nodes: int):
+        """Per node u in rows, the least block radius from 1 on whose block
+        holds at least nodes nodes, or that spans the grid."""
+        span = max(self.gx, self.gy, 2) - 1
+        lo, hi = np.ones(len(rows), np.intp), np.ones(len(rows), np.intp)
+        # double each radius until its block is full, then bisect
+        grow = np.arange(len(rows))
+        while grow.size:
+            grow = grow[(self.count(rows[grow], hi[grow]) < nodes) & (hi[grow] < span)]
+            lo[grow] = hi[grow] + 1
+            hi[grow] = np.minimum(2 * hi[grow], span)
+        wide = (lo < hi).nonzero()[0]
+        while wide.size:
+            mid = (lo[wide] + hi[wide]) // 2
+            full = self.count(rows[wide], mid) >= nodes
+            hi[wide[full]] = mid[full]
+            lo[wide[~full]] = mid[~full] + 1
+            wide = wide[lo[wide] < hi[wide]]
+        return hi
+
 
 def _grid(x, y) -> _Grid | None:
-    """The cell index that construction and the void scan share, with
-    _CELL_NODES nodes per cell on average, or None where the set's span is
-    outside [_KEY_MIN, _SPAN_MAX), where the rounding bounds of their
-    certificates do not hold."""
+    """The cell index that construction and the void scan share, or None
+    where the set's span is outside [_KEY_MIN, _SPAN_MAX), where the
+    rounding bounds of their certificates do not hold.
+
+    Its cells follow the nodes, not the bounding box. The cell box leaves
+    out the n // _CLAMP_RANK + 1 least and greatest coordinates of each
+    axis, so a few far nodes, clamped into its edge cells, do not stretch
+    it; a cell box of span below _KEY_MIN gives way to the bounding box. The
+    cell side is set from the occupied cells, _GRID_PASSES times, so that
+    they hold about _CELL_NODES nodes each, and kept large enough for at
+    most _MAX_CELLS * n cells, so the prefix sums stay O(n)."""
     n = len(x)
-    x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
-    w, hgt = x1 - x0, y1 - y0
-    if not _KEY_MIN <= max(w, hgt) < _SPAN_MAX:
+    box = x.min(), x.max(), y.min(), y.max()
+    if not _KEY_MIN <= max(box[1] - box[0], box[3] - box[2]) < _SPAN_MAX:
         return None
-    # square cells of _CELL_NODES nodes on average over the bounding box; a
-    # set near a line gets one row of n / _CELL_NODES cells
-    h = max(math.sqrt(w * hgt * _CELL_NODES / n), max(w, hgt) * _CELL_NODES / n)
-    return _Grid(x, y, (x0, x1, y0, y1), h)
+    lo = min(n // _CLAMP_RANK + 1, (n - 1) // 2)
+    (x0, x1), (y0, y1) = (np.partition(a, (lo, n - 1 - lo))[[lo, n - 1 - lo]].tolist()
+                          for a in (x, y))
+    if max(x1 - x0, y1 - y0) < _KEY_MIN:
+        x0, x1, y0, y1 = box
+    w, hgt = x1 - x0, y1 - y0
+    # from h >= least on, w/h, hgt/h and their product are at most c, so the
+    # (w/h + 1)(hgt/h + 1) cells number at most 2c + 2 = _MAX_CELLS * n
+    c = _MAX_CELLS * n / 2 - 1
+    least = max(math.sqrt(w * hgt / c), max(w, hgt) / c)
+    # square cells of _CELL_NODES nodes on average over the cell box; a set
+    # near a line gets one row of n / _CELL_NODES cells
+    h = max(math.sqrt(w * hgt * _CELL_NODES / n), max(w, hgt) * _CELL_NODES / n, least)
+    for _ in range(_GRID_PASSES):
+        cell = _units(y, y0, y1, h).astype(np.intp) * (int(w / h) + 1)
+        cell += _units(x, x0, x1, h).astype(np.intp)
+        occupied = np.count_nonzero(np.bincount(cell))
+        h = max(h * math.sqrt(occupied * _CELL_NODES / n), least)
+    return _Grid(x, y, box, (x0, x1, y0, y1), h)
+
+
+def _units(a, lo, hi, h):
+    """The coordinates a, clamped into [lo, hi], in cells of side h from lo."""
+    return (np.clip(a, lo, hi) - lo) / h
 
 
 def _ranges(lo, size):
@@ -264,7 +350,12 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
     candidate tables of nearby nodes: each node's candidates are the nodes
     in its block of grid cells, and its picks from them are kept only where
     the certificate below proves them equal to its picks from all n nodes.
-    Nodes that fail it get a larger block, then the shared row."""
+
+    One radius rule: in round 1, node u's block is the least one (radius 1
+    or more) that holds _ROW_NODES * max(k, 6) nodes (_Grid.fill), so it
+    grows where the cells around u are sparse, as on a cluster's rim, and
+    stays small inside a cluster. Nodes that fail the certificate get a
+    block of twice that radius in round 2, then the shared row."""
     n = len(x)
     grid = _grid(x, y)
     if grid is None:
@@ -285,19 +376,24 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
     # spans below _SPAN_MAX, keep squares of differences normal and finite.
     lim = math.cos(math.pi / k + _DELTA) if family == THETA else 1.0
     rows, keys, slot = np.arange(n), [], np.empty(n, np.intp)
-    for r in _GRID_RADII:
+    r = grid.fill(rows, _ROW_NODES * max(k, 6))
+    for _ in range(2):
         if not rows.size:
             break
-        size, failed = grid.count(rows, r), []
-        # tables of at most _TABLE_ENTRIES entries, one after another
-        step = max(1, _TABLE_ENTRIES // int(size.max()))
-        for r0 in range(0, rows.size, step):
-            src, count = rows[r0:r0 + step], size[r0:r0 + step]
-            m = int(count.max())
+        # rows by block size, largest first, in tables of at most
+        # _TABLE_ENTRIES entries, each as wide as its first row's block
+        size = grid.count(rows, r)
+        by_size = (-size).argsort(kind="stable")
+        rows, r, size = rows[by_size], r[by_size], size[by_size]
+        failed, r0 = [], 0
+        while r0 < rows.size:
+            m = int(size[r0])
+            r1 = r0 + max(1, _TABLE_ENTRIES // m)
+            src, count = rows[r0:r1], size[r0:r1]
             # u's candidates are its block's nodes: a table row padded with
             # n, then sorted, its padding replaced by its largest candidate
             table = np.full((src.size, m), n)
-            table[np.arange(m) < count[:, None]] = grid.gather(src, r)
+            table[np.arange(m) < count[:, None]] = grid.gather(src, r[r0:r1])
             table.sort(axis=1)
             np.minimum(table, table[np.arange(src.size), count - 1][:, None], out=table)
             got, cone, key = _build_directed(x, y, table, k, family, src)
@@ -305,10 +401,12 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
             row = slot[got // n]
             best = np.full((src.size, k), np.inf)
             best[row, cone.astype(np.intp) - 1] = key
-            ok = ((best >= _KEY_MIN) & (best <= grid.cone_gaps(src, r, k) * lim)).all(1)
+            ok = ((best >= _KEY_MIN) & (best <= grid.cone_gaps(src, r[r0:r1], k) * lim)).all(1)
             keys.append(got[ok[row]])
-            failed.append(src[~ok])
-        rows = np.concatenate(failed)
+            failed.append(r0 + (~ok).nonzero()[0])
+            r0 = r1
+        failed = np.concatenate(failed)
+        rows, r = rows[failed], 2 * r[failed]
     if rows.size:
         keys.append(_build_directed(x, y, np.arange(n)[None], k, family, rows)[0])
     return np.sort(np.concatenate(keys))

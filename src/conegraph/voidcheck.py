@@ -55,10 +55,13 @@ _SCAN_BLOCK = 1 << 15
 # The cell-bounded scan (_cell_witnesses) serves graphs with k >= 3 of at
 # least _CELL_SCAN_NODES nodes; smaller ones scan the distance matrix.
 # Measured on a 2-core x86-64 VM (best of 7, three seeds, Yao k = 4, 6 and
-# 12), the cell scan ran 0.5 to 1.0 times as fast as the matrix scan at 300
-# nodes, 1.4 to 1.8 times at 500 and 2.4 to 3.1 times at 1,000 on uniform
-# sets; on sets of 8 Gaussian clusters 0.5 to 0.6, 0.7 to 1.2 and 1.3 to
-# 1.9 times. Its memory does not grow as n**2.
+# 12, the matrix scan with its distance matrix) with cells that follow
+# density, the cell scan ran 0.58 to 0.89 times as fast as the matrix scan
+# at 300 nodes, 0.94 to 1.47 times at 500 and 2.08 to 2.44 times at 1,000
+# on uniform sets; on sets of 8 Gaussian clusters 0.47 to 0.67, 0.73 to
+# 0.95 and 1.22 to 1.48 times (cells over the bounding box: 0.60 to 0.93,
+# 0.98 to 1.55, 2.15 to 2.50; 0.43 to 0.69, 0.70 to 0.91, 1.12 to 1.40).
+# Its memory does not grow as n**2.
 _CELL_SCAN_NODES = 500
 # A neighbor w of u whose squared distance to v is at most (1 - _TIE) times
 # u's is strictly closer to v in doubles too (see _cell_reach)

@@ -537,6 +537,20 @@ def clusters(draw):
     return list(points)
 
 
+@st.composite
+def far_outliers(draw):
+    """A cluster of 20 to 200 points plus 1 to 3 points 10**2 to 10**6 of its
+    spans away, which lie outside the grid's cell box and are clamped into
+    its edge cells."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    points = {(rng.gauss(0.5, 0.1), rng.gauss(0.5, 0.1)): None
+              for _ in range(draw(st.integers(20, 200)))}
+    for _ in range(draw(st.integers(1, 3))):
+        far, turn = 10.0 ** draw(st.integers(2, 6)), draw(st.floats(0.0, math.tau))
+        points[0.5 + far * math.cos(turn), 0.5 + far * math.sin(turn)] = None
+    return list(points)
+
+
 # Exact rescalings. Below a span of 2**-500 and from 2**510 on, the grid path
 # hands the whole set to the shared row; anchoring a scaled-down set between
 # two far corners keeps the grid on, with keys below the certificate's floor.
@@ -586,6 +600,39 @@ def test_grid_matches_shared_row_on_large_sets(seed):
                 assert check_theta_cone_relay(nodes, k) == []
 
 
+def shaped_set(shape, n):
+    """n points in the unit square of one of three shapes that a grid over
+    the bounding box serves badly: one point 10**6 away ("one_outlier"), half
+    of them in one Gaussian cluster of sigma 0.01 ("half_cluster"), or all
+    within about 10**-3 of the diagonal ("near_line")."""
+    rng = np.random.default_rng(n)
+    p = rng.random((n, 2))
+    if shape == "one_outlier":
+        p[0] = (1e6, 0.5)
+    elif shape == "half_cluster":
+        p[: n // 2] = rng.normal(0.4, 0.01, (n // 2, 2))
+    else:
+        p[:, 1] = p[:, 0] + rng.normal(0.0, 1e-3, n)
+    return list(dict.fromkeys(map(tuple, p.tolist())))
+
+
+SHAPES = ["one_outlier", "half_cluster", "near_line"]
+
+
+def gated_ks(n):
+    """The k in 3..16 for which the grid path serves n nodes."""
+    return range(3, min(16, n // construct._GRID_CONE_NODES) + 1)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_grid_matches_shared_row_on_shaped_sets(shape):
+    for n in (1200, 3000):
+        coords = shaped_set(shape, n)
+        for k in gated_ks(n):
+            for family in ("yao", "theta"):
+                assert_grid_matches_shared_row(coords, k, family)
+
+
 def test_grid_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatch):
     # the equivalence tests would pass if every node fell through to the
     # shared row; on the benchmark's sets the first round must certify most
@@ -607,6 +654,39 @@ def test_grid_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatch):
         assert sum(shared) < last * n
 
 
+def test_grid_work_stays_near_linear_on_an_outlier_and_a_wide_box(monkeypatch):
+    # a grid over the bounding box puts the one-outlier set's 2,999 other
+    # nodes in one cell, so every block holds all n nodes: n**2 table entries
+    rows = {"tabled": 0, "entries": 0, "shared": 0}
+
+    def kernel(x, y, cols, k, family, src=None):
+        if cols.shape == (1, len(x)):
+            rows["shared"] += len(src)
+        else:
+            rows["tabled"] += len(src)
+            rows["entries"] += cols.size
+        return _build_directed(x, y, cols, k, family, src)
+
+    monkeypatch.setattr(construct, "_build_directed", kernel)
+    nodes = nodes_at(shaped_set("one_outlier", 3000))
+    n = len(nodes)
+    build_directed_yao(nodes, 4)
+    assert n <= rows["tabled"] and rows["entries"] < 150 * n
+    assert rows["shared"] < 0.05 * n
+    # a core 10**-6 wide holds 98% of the nodes, and the rest spread over a
+    # box 10**6 wide stretch the cell box: cells that the core's occupancy
+    # sizes would far outnumber the nodes, and the cap keeps them O(n)
+    rng = np.random.default_rng(5)
+    core = np.concatenate([rng.random((2940, 2)) * 1e-6, rng.random((60, 2)) * 1e6])
+    x, y = nodes_at(dict.fromkeys(map(tuple, core.tolist()))).coordinates()
+    cap = construct._MAX_CELLS * len(x)
+    grid = _grid(x, y)
+    assert grid.gx * grid.gy <= cap
+    monkeypatch.setattr(construct, "_MAX_CELLS", 10**6)
+    grid = _grid(x, y)
+    assert grid.gx * grid.gy > cap
+
+
 # ---------------------------------------------------------------------------
 # the grid's block query against a brute-force cell filter
 
@@ -622,15 +702,26 @@ def block_members(grid, r):
     return members
 
 
-@pytest.mark.parametrize("points", [lattices(), on_cell_edges(), clusters()],
-                         ids=["lattices", "cell_edges", "clusters"])
+def cell_places(grid, x, y):
+    """Brute force: each node's place in cell units, its coordinates clamped
+    into the grid's cell box, and its cell."""
+    x0, x1, y0, y1 = grid.cells
+    tx, ty = (np.clip(x, x0, x1) - x0) / grid.h, (np.clip(y, y0, y1) - y0) / grid.h
+    return tx, ty, np.floor(tx).astype(int), np.floor(ty).astype(int)
+
+
+@pytest.mark.parametrize("points", [lattices(), on_cell_edges(), clusters(), far_outliers()],
+                         ids=["lattices", "cell_edges", "clusters", "far_outliers"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_grid_block_query_matches_brute_force(points, data):
     x, y = nodes_at(dict.fromkeys(data.draw(points, "points"))).coordinates()
     grid = _grid(x, y)
-    n, h, (x0, _, y0, _) = len(x), grid.h, grid.box
-    cx, cy = grid.cx, grid.cy
+    n, h = len(x), grid.h
+    tx, ty, cx, cy = cell_places(grid, x, y)
+    # every node lies in a cell of the grid, at its clamped place
+    assert (grid.cx == cx).all() and (grid.cy == cy).all()
+    assert cx.max() < grid.gx and cy.max() < grid.gy
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
     beyond = max(grid.gx, grid.gy) + 1
     dist = np.hypot(x - x[:, None], y - y[:, None])
@@ -641,18 +732,19 @@ def test_grid_block_query_matches_brute_force(points, data):
         inside = (abs(cx - cx[:, None]) <= rr) & (abs(cy - cy[:, None]) <= rr)
         # each block holds every node of the cells within r, once
         assert (block_members(grid, r) == inside).all()
-        # gaps are the distances to the block sides with cells beyond them
+        # gaps are the distances from the clamped places to the block sides
+        # with cells beyond them
         lo_x, hi_x, lo_y, hi_y = cx - rr[:, 0], cx + rr[:, 0] + 1, cy - rr[:, 0], cy + rr[:, 0] + 1
-        want = np.array([np.where(lo_x > 0, x - (x0 + lo_x * h), np.inf),
-                         np.where(hi_x < grid.gx, x0 + hi_x * h - x, np.inf),
-                         np.where(lo_y > 0, y - (y0 + lo_y * h), np.inf),
-                         np.where(hi_y < grid.gy, y0 + hi_y * h - y, np.inf)])
+        want = h * np.array([np.where(lo_x > 0, tx - lo_x, np.inf),
+                             np.where(hi_x < grid.gx, hi_x - tx, np.inf),
+                             np.where(lo_y > 0, ty - lo_y, np.inf),
+                             np.where(hi_y < grid.gy, hi_y - ty, np.inf)])
         gaps = grid.gaps(np.arange(n), r)
         assert (np.isinf(gaps) == np.isinf(want)).all()
         assert np.allclose(gaps[np.isfinite(gaps)], want[np.isfinite(want)],
                            rtol=4 * _EPS, atol=h * _EPS)
-        # from r = 1 on, and certainly at 2 and 4, where construction uses
-        # them, they bound the distance to every node off the block
+        # from r = 1 on they bound the true distance to every node off the
+        # block, clamped or not
         if np.all(r >= 1):
             assert (np.where(inside, np.inf, dist) >= gaps.min(0)[:, None]).all()
     # the radius for a distance holds every node within it: none, the
@@ -662,14 +754,15 @@ def test_grid_block_query_matches_brute_force(points, data):
         assert (block_members(grid, grid.radius(d)) >= (dist <= d[:, None])).all()
 
 
-@pytest.mark.parametrize("points", [lattices(), on_cell_edges(), clusters()],
-                         ids=["lattices", "cell_edges", "clusters"])
+@pytest.mark.parametrize("points", [lattices(), on_cell_edges(), clusters(), far_outliers()],
+                         ids=["lattices", "cell_edges", "clusters", "far_outliers"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_grid_cone_gaps_match_brute_force(points, data):
     x, y = nodes_at(dict.fromkeys(data.draw(points, "points"))).coordinates()
     grid = _grid(x, y)
-    n, cx, cy = len(x), grid.cx, grid.cy
+    n = len(x)
+    _, _, cx, cy = cell_places(grid, x, y)
     k = data.draw(st.integers(3, construct._GRID_MAX_K), "k")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
     beyond = max(grid.gx, grid.gy) + 1

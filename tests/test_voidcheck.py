@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_construct import (
-    SCALES, clusters, large_sets, lattices, nodes_at, on_cell_edges, on_cone_rays, source_cones,
+    SCALES, SHAPES, clusters, gated_ks, large_sets, lattices, nodes_at, on_cell_edges, on_cone_rays,
+    shaped_set, source_cones,
 )
 
 from conegraph import voidcheck
@@ -253,6 +254,15 @@ def test_cell_scan_matches_matrix_scan_on_large_sets(seed):
         for family, k in (("yao", 3), ("yao", 4), ("yao", 6), ("yao", 8), ("yao", 12),
                           ("theta", 3), ("theta", 6)):
             assert_cell_scan_matches_matrix(build(nodes, family, k))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cell_scan_matches_matrix_scan_on_shaped_sets(shape):
+    for n in (1200, 3000):
+        nodes = nodes_at(shaped_set(shape, n))
+        for k in gated_ks(n):
+            for family in ("yao", "theta"):
+                assert_cell_scan_matches_matrix(build(nodes, family, k))
 
 
 def test_cell_scan_matches_matrix_scan_on_sparse_graphs():
