@@ -24,20 +24,19 @@ once. build_directed_yao and build_directed_theta get the directed graph's
 sorted keys u*n + v in one of two ways, chosen from n and k:
 
 - The shared row: every node's candidates are all n nodes, the one row
-  np.arange(n)[None]. O(n**2) pairs; it serves small sets, k < 3 and
-  large k.
-- Grid tables (_grid_keys), for 3 <= k <= _GRID_MAX_K and at least
-  _GRID_CONE_NODES * k nodes: each node's row is the nodes in its block
-  of grid cells (_Grid.gather, the query the void scan shares),
-  ascending and padded as in the batch, and the same kernel picks from
-  it. The cells follow density: their side is set from the occupied
-  cells, over a box that clamps the few extreme nodes into its edge
-  cells (see _grid), and a node's block is the least that holds
-  _ROW_NODES nodes per cone. A node's picks are kept only if a
-  certificate proves that no node off its row could be picked or tie: in
-  every cone, its pick's key (+inf where it has none) is at most the gap
-  to the nearest block side whose region beyond can hold a node in that
-  cone (_Grid.cone_gaps; times cos(pi/k) for Theta), with margins for
+  np.arange(n)[None]. O(n**2) pairs; it serves k < 3 and sets of fewer
+  than _GRID_CONE_NODES * k nodes.
+- Grid tables (_grid_keys), for k >= 3 and at least _GRID_CONE_NODES * k
+  nodes: each node's row is the nodes in its block of the set's grid
+  (NodeSet._grid, shared with the void scan), ascending and padded as in
+  the batch, and the same kernel picks from it. The cells follow density:
+  their side is set from the occupied cells, over a box that clamps the
+  few extreme nodes into its edge cells (see _grid), and a node's block is
+  the least that holds _ROW_NODES nodes per cone. A node's picks are kept
+  only if a certificate proves that no node off its row could be picked or
+  tie: in every cone, its pick's key (+inf where it has none) is at most
+  the gap to the nearest block side whose region beyond can hold a node in
+  that cone (_Grid.cone_gaps; times cos(pi/k) for Theta), with margins for
   rounding (see _grid_keys). The others get a block of twice the radius,
   then the shared row, so every edge is the shared row's.
 
@@ -60,8 +59,8 @@ from .model import THETA, YAO, GeometricGraph, NodeSet, _norm, _symmetric_keys
 # 2**16 or 2**12.
 _BLOCK_PAIRS = 1 << 14
 
-# The grid path (_grid_keys) serves 3 <= k <= _GRID_MAX_K and sets of at
-# least _GRID_CONE_NODES * k nodes. Measured on a 2-core x86-64 VM (best of
+# The grid path (_grid_keys) serves k >= 3 and sets of at least
+# _GRID_CONE_NODES * k nodes. Measured on a 2-core x86-64 VM (best of
 # 5 to 7, three seeds each), against the shared row: uniform sets in the
 # unit square, and sets of 8 Gaussian clusters with sigma 0.01, as the
 # benchmark's `large` workload draws them. A cone's pick lies farther away
@@ -69,11 +68,12 @@ _BLOCK_PAIRS = 1 << 14
 # grows, and the crossover n grows with k. With cells that follow density
 # (best of 3, three seeds, k = 3, 4, 6, 8, 12, 16, 24 and 32), clustered
 # sets ran 0.88 to 1.25 times as fast at n = 120k and 1.05 to 1.48 at 150k,
-# and uniform ones 1.10 to 4.06 and 1.33 to 5.07. Above k = 32 the gain on
-# uniform sets fell below 1.3 with cells over the bounding box, and the
-# certificate keeps (rows, k) arrays.
+# and uniform ones 1.10 to 4.06 and 1.33 to 5.07; at n = 150k and 300k (best
+# of 1 to 2, both kinds, Yao and Theta) 1.22 to 9.55 times at k = 33 to 64
+# and 1.01 to 3.53 at k = 128. No cap on k is needed: every table row holds
+# 6k candidates or more, so the certificate's (rows, k) arrays stay within a
+# table's _TABLE_ENTRIES.
 _GRID_CONE_NODES = 150
-_GRID_MAX_K = 32
 # The occupied cells hold _CELL_NODES nodes on average (see _grid), and
 # round 1's block around a node is the least that holds _ROW_NODES nodes
 # per cone, for at least 6 cones (see _grid_keys): narrower cones reach
@@ -150,10 +150,10 @@ def build(nodes: NodeSet, family: str, k: int, directed: bool = False) -> Geomet
 
 
 def _directed_graph(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
-    x, y = nodes.coordinates()
-    if 3 <= k <= _GRID_MAX_K and len(x) >= _GRID_CONE_NODES * k:
-        keys = _grid_keys(x, y, k, family)
+    if k >= 3 and len(nodes) >= _GRID_CONE_NODES * k and nodes._grid is not None:
+        keys = _grid_keys(nodes._grid, k, family)
     else:
+        x, y = nodes.coordinates()
         keys = _build_directed(x, y, np.arange(len(x))[None], k, family)
     return GeometricGraph._from_keys(family, k, True, nodes, keys)
 
@@ -296,8 +296,8 @@ class _Grid:
 
 
 def _grid(x, y) -> _Grid | None:
-    """The cell index that construction and the void scan share, or None
-    where the set's span is outside [_KEY_MIN, _SPAN_MAX), where the
+    """The cell index that construction and the void scan share (NodeSet._grid),
+    or None where the set's span is outside [_KEY_MIN, _SPAN_MAX), where the
     rounding bounds of their certificates do not hold.
 
     Its cells follow the nodes, not the bounding box. The cell box leaves
@@ -345,9 +345,9 @@ def _ranges(lo, size):
     return at
 
 
-def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
-    """The sorted keys that _build_directed gives on the shared row, from
-    candidate tables of nearby nodes: each node's candidates are the nodes
+def _grid_keys(grid: _Grid, k: int, family: str) -> np.ndarray:
+    """The sorted keys that _build_directed gives on the shared row over the
+    grid's nodes, from candidate tables: each node's candidates are the nodes
     in its block of grid cells, and its picks from them are kept only where
     the certificate below proves them equal to its picks from all n nodes.
 
@@ -356,10 +356,7 @@ def _grid_keys(x, y, k: int, family: str) -> np.ndarray:
     grows where the cells around u are sparse, as on a cluster's rim, and
     stays small inside a cluster. Nodes that fail the certificate get a
     block of twice that radius in round 2, then the shared row."""
-    n = len(x)
-    grid = _grid(x, y)
-    if grid is None:
-        return _build_directed(x, y, np.arange(n)[None], k, family)
+    x, y, n = grid.x, grid.y, len(grid.x)
     # The certificate, one rule: node u's picks from its block are its
     # picks from all nodes if, in every cone i, the kernel key of its pick
     # (+inf where the block has none in cone i) lies in [_KEY_MIN, gap_i *

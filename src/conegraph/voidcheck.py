@@ -17,8 +17,8 @@ witnesses of the exhaustive scan bit for bit:
   _CELL_SCAN_NODES nodes: (u, v) can be a void only where v lies in u's
   Voronoi cell among u and its neighbors. A certified bound on that cell
   (_cell_reach) limits u's targets to a block of cells around it, from
-  the grid query construction uses (construct._Grid), and distances
-  come from the coordinates, so no n x n array is built.
+  the node set's grid, which construction shares (NodeSet._grid), and
+  distances come from the coordinates, so no n x n array is built.
 
 check_by_routing is an independent oracle through greedy forwarding; it
 still reads the distance matrix.
@@ -39,7 +39,7 @@ import numpy as np
 from .geometry import _bisectors, _check_k, _cones, cone_of  # noqa: F401
 from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness, _norm
 from .construct import (
-    _BLOCK_PAIRS, _DELTA, _EPS, _KEY_MIN, _grid, _own_slots, _ranges,
+    _BLOCK_PAIRS, _DELTA, _EPS, _KEY_MIN, _own_slots, _ranges,
     build_directed_theta, build_directed_yao,
 )
 from .routing import greedy_route
@@ -70,7 +70,7 @@ _TIE = 2.0**-40
 # in _cell_reach, gathered candidates and (pair, neighbor) slots in
 # _cell_witnesses. On the benchmark's 1,000-node `large` sets its traced
 # peak was 1.5 to 1.7 MiB at 2**13, and 2.8 to 3.9 MiB at 2**14 to 2**16
-# (construction's 2**16-entry _TABLE_ENTRIES), at about the same speed.
+# (construction's _TABLE_ENTRIES is 2**15), at about the same speed.
 _CELL_ENTRIES = 1 << 13
 
 
@@ -109,15 +109,12 @@ def _scan(g: GeometricGraph):
     witness, in order, as arrays (u, v, d, best) of its witnesses sorted by
     (u, v): d is d(u, v) and best the distance to v of u's neighbor nearest
     to it. Graphs with k >= 3 and at least _CELL_SCAN_NODES nodes scan each
-    node's cell (_cell_witnesses), unless the grid does not serve the set's
-    span; the others scan the distance matrix (_void_witnesses)."""
+    node's cell (_cell_witnesses) on the node set's grid, if it serves the
+    set's span; the others scan the distance matrix (_void_witnesses)."""
     if g.directed:
         raise ValueError("void-freeness is defined on the undirected graph")
-    if g.k >= 3 and len(g.nodes) >= _CELL_SCAN_NODES:
-        x, y = g.nodes.coordinates()
-        grid = _grid(x, y)
-        if grid is not None:
-            return _cell_witnesses(x, y, grid, *g.csr)
+    if g.k >= 3 and len(g.nodes) >= _CELL_SCAN_NODES and g.nodes._grid is not None:
+        return _cell_witnesses(g.nodes._grid, *g.csr)
     return _void_witnesses(g.dist_matrix, np.arange(len(g.nodes))[None], *g.csr)
 
 
@@ -158,14 +155,14 @@ def _void_witnesses(dist, cols, indptr, indices):
             yield u, cols[u if len(cols) > 1 else 0, j], d[mask], best[mask]
 
 
-def _cell_witnesses(x, y, grid, indptr, indices):
-    """The pair scan over one undirected graph from its coordinates, without
-    a distance matrix. u's targets are the nodes within its reach
-    (_cell_reach), gathered through the grid's block query
-    (construct._Grid); a node without a certified reach gets every node.
+def _cell_witnesses(grid, indptr, indices):
+    """The pair scan over one undirected graph on the grid of its nodes, from
+    their coordinates, without a distance matrix. u's targets are the nodes
+    within its reach (_cell_reach), gathered through the grid's block query;
+    a node without a certified reach gets every node.
     Yields as _scan does, in pieces of about _CELL_ENTRIES gathered
     candidates."""
-    n = len(x)
+    x, y, n = grid.x, grid.y, len(grid.x)
     rows = max(1, _CELL_ENTRIES // (int((indptr[1:] - indptr[:-1]).max()) + 4))
     reach = np.concatenate([_cell_reach(x, y, grid.box, indptr, indices,
                                         np.arange(a, min(a + rows, n))) for a in range(0, n, rows)])

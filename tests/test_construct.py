@@ -329,15 +329,23 @@ def test_kernel_memory_does_not_grow_with_k(family, monkeypatch):
     ns = random_nodeset(20, seed=43)
     for k in (10**9, 10**18):
         assert_matches_reference(ns, k, family)
-    # nor does the grid path's: with its size threshold at 0, only its cap
-    # on k keeps it from (rows, k) arrays
-    monkeypatch.setattr(construct, "_GRID_CONE_NODES", 0)
-    big = random_nodeset(400, seed=44)
+    # nor does the grid path's: at its size gate every table row holds 6k
+    # candidates or more, so the certificate's (rows, k) arrays hold at most
+    # a sixth of a table's entries, or one row
+    k, sizes, cone_gaps = 40, [], construct._Grid.cone_gaps
+
+    def recorded(grid, rows, r, k):
+        gap = cone_gaps(grid, rows, r, k)
+        sizes.append(gap.size)
+        return gap
+
+    monkeypatch.setattr(construct._Grid, "cone_gaps", recorded)
+    big = random_nodeset(construct._GRID_CONE_NODES * k, seed=44)
     x, y = big.coordinates()
     builder = build_directed_yao if family == "yao" else build_directed_theta
-    for k in (10**9, 10**18):
-        assert builder(big, k).keys.tolist() == _build_directed(
-            x, y, np.arange(len(x))[None], k, family).tolist()
+    assert builder(big, k).keys.tolist() == _build_directed(
+        x, y, np.arange(len(x))[None], k, family).tolist()
+    assert sizes and max(sizes) <= max(construct._TABLE_ENTRIES // 6, k)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -633,6 +641,30 @@ def test_grid_matches_shared_row_on_shaped_sets(shape):
                 assert_grid_matches_shared_row(coords, k, family)
 
 
+@pytest.mark.parametrize("k", [33, 48])
+def test_grid_matches_shared_row_above_k_32(k):
+    # the grid path has no cap on k: uniform and 8-cluster sets of 150*k
+    # nodes go through its tables, and give the shared row's keys
+    tabled = []
+
+    def kernel(x, y, cols, k, family, src=None):
+        if cols.shape != (1, len(x)):
+            tabled.append(len(src))
+        return _build_directed(x, y, cols, k, family, src)
+
+    n = construct._GRID_CONE_NODES * k
+    rng = np.random.default_rng(k)
+    centres = 0.1 + 0.8 * rng.random((8, 2))
+    for p in (rng.random((n, 2)), centres[np.arange(n) % 8] + rng.normal(0.0, 0.01, (n, 2))):
+        coords = list(dict.fromkeys(map(tuple, p.tolist())))
+        for family in ("yao", "theta"):
+            tabled.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(construct, "_build_directed", kernel)
+                assert_grid_matches_shared_row(coords, k, family)
+            assert sum(tabled) >= len(coords)
+
+
 def test_grid_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatch):
     # the equivalence tests would pass if every node fell through to the
     # shared row; on the benchmark's sets the first round must certify most
@@ -752,6 +784,15 @@ def test_grid_block_query_matches_brute_force(points, data):
     for d in (np.zeros(n), dist[np.arange(n), rng.integers(0, n, n)],
               rng.random(n) * dist.max(), np.full(n, np.inf)):
         assert (block_members(grid, grid.radius(d)) >= (dist <= d[:, None])).all()
+    # the radius for a node count is the least from 1 on whose block holds
+    # that many nodes, or the span where none does; a block of radius r
+    # holds the nodes whose cells are at most r apart in x and in y
+    span = max(grid.gx, grid.gy, 2) - 1
+    apart = np.sort(np.maximum(abs(cx - cx[:, None]), abs(cy - cy[:, None])), axis=1)
+    rows = rng.permutation(n)[: max(1, n // 2)]
+    for count in (1, 2, int(rng.integers(1, n + 1)), n, n + 1):
+        want = np.maximum(apart[:, count - 1], 1) if count <= n else np.full(n, span)
+        assert (grid.fill(rows, count) == want[rows]).all()
 
 
 @pytest.mark.parametrize("points", [lattices(), on_cell_edges(), clusters(), far_outliers()],
@@ -763,7 +804,8 @@ def test_grid_cone_gaps_match_brute_force(points, data):
     grid = _grid(x, y)
     n = len(x)
     _, _, cx, cy = cell_places(grid, x, y)
-    k = data.draw(st.integers(3, construct._GRID_MAX_K), "k")
+    # the grid path has no cap on k, so k reaches above 32 too
+    k = data.draw(st.integers(3, 64), "k")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
     beyond = max(grid.gx, grid.gy) + 1
     dist = np.hypot(x - x[:, None], y - y[:, None])

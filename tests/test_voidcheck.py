@@ -13,8 +13,8 @@ from test_construct import (
     shaped_set, source_cones,
 )
 
-from conegraph import voidcheck
-from conegraph.construct import _grid, build, build_directed_yao
+from conegraph import construct, voidcheck
+from conegraph.construct import build, build_directed_yao
 from conegraph.corpus import load_corpus, random_nodeset
 from conegraph.geometry import TAU, Point, bisector_projection, cone_of
 from conegraph.model import GeometricGraph, NodeSet, VoidWitness, _csr, _distances, distance
@@ -229,7 +229,7 @@ def assert_cell_scan_matches_matrix(g):
         mp.setattr(voidcheck, "_CELL_SCAN_NODES", 0)
         assert list(check_void_free(g).witnesses) == want, (g.family, g.k, len(g.nodes))
         assert has_void(g) == bool(want)
-    if _grid(*g.nodes.coordinates()) is not None:
+    if g.nodes._grid is not None:
         assert "dist_matrix" not in g.__dict__
 
 
@@ -332,6 +332,27 @@ def test_void_scan_of_3000_nodes_builds_no_distance_matrix():
             tracemalloc.stop()
         assert "dist_matrix" not in g.__dict__
         assert peak < 10 * 2**20, scan.__name__
+
+
+def test_one_grid_per_node_set(monkeypatch):
+    # construction and the cell scan share the node set's grid: its builds,
+    # scans and void checks index the nodes once, and a set below both size
+    # gates never does
+    calls = []
+    grid_of = construct._grid
+
+    def counted(x, y):
+        calls.append(len(x))
+        return grid_of(x, y)
+
+    monkeypatch.setattr(construct, "_grid", counted)
+    for nodes in [*large_sets(0), random_nodeset(60, seed=60)]:
+        calls.clear()
+        for family, k in (("yao", 4), ("yao", 6), ("theta", 6)):
+            g = build(nodes, family, k)
+            check_void_free(g)
+            has_void(g)
+        assert calls == ([len(nodes)] if len(nodes) >= 500 else [])
 
 
 def test_routing_oracle_agrees_on_random_graphs():
