@@ -3,7 +3,8 @@ packets, search for counterexamples, and render figures.
 
 Exit codes: 0 success (delivered / void-free / found), 1 negative
 result (voids found / stuck / search exhausted), 2 usage or input
-error.
+error, including a distance that JSON cannot carry (one beyond the
+double range) and a set too large for memory (MemoryError).
 """
 
 import argparse
@@ -34,8 +35,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 
@@ -100,7 +102,7 @@ def _cmd_build(args) -> int:
 def _cmd_check(args) -> int:
     g = _build_graph(args)
     report = check_void_free(g)
-    print(json.dumps(witness_report_dict(g, report), indent=2))
+    print(json.dumps(witness_report_dict(g, report), indent=2, allow_nan=False))
     return 0 if report.void_free else 1
 
 
@@ -117,7 +119,7 @@ def _cmd_route(args) -> int:
         "delivered": False,
         "stuck": ids[result.stuck],
         "best_neighbor_distance": result.best_neighbor_distance,
-    }, indent=2))
+    }, indent=2, allow_nan=False))
     return 1
 
 

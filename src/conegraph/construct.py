@@ -31,7 +31,7 @@ sorted keys u*n + v in one of two ways, chosen from n and k:
   (NodeSet._grid, shared with the void scan), ascending and padded as in
   the batch, and the same kernel picks from it. The cells follow density:
   their side is set from the occupied cells, over a box that clamps the
-  few extreme nodes into its edge cells (see _grid), and a node's block is
+  few extreme nodes into its edge cells (see _Grid), and a node's block is
   the least that holds _ROW_NODES nodes per cone. A node's picks are kept
   only if a certificate proves that no node off its row could be picked or
   tie: in every cone, its pick's key (+inf where it has none) is at most
@@ -74,7 +74,7 @@ _BLOCK_PAIRS = 1 << 14
 # 6k candidates or more, so the certificate's (rows, k) arrays stay within a
 # table's _TABLE_ENTRIES.
 _GRID_CONE_NODES = 150
-# The occupied cells hold _CELL_NODES nodes on average (see _grid), and
+# The occupied cells hold _CELL_NODES nodes on average (see _Grid), and
 # round 1's block around a node is the least that holds _ROW_NODES nodes
 # per cone, for at least 6 cones (see _grid_keys): narrower cones reach
 # farther for their picks. Measured on a 2-core x86-64 VM, build and scan,
@@ -91,7 +91,7 @@ _CELL_NODES = 2
 _ROW_NODES = 6
 # The cell box leaves out the n // _CLAMP_RANK + 1 extreme nodes on each
 # side of each axis, _GRID_PASSES passes over the occupied cells set the
-# cell side, and the cells number at most _MAX_CELLS * n (see _grid). 64,
+# cell side, and the cells number at most _MAX_CELLS * n (see _Grid). 64,
 # 128 and 256 timed alike on `large`'s sets and a 3,000-node one-outlier
 # set. One pass left the clustered `large` scan gathering 74,104 targets,
 # two 52,605 and three 49,875. Caps of 16 and 32 ran within 4% of each
@@ -159,13 +159,20 @@ def _directed_graph(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
 
 
 class _Grid:
-    """A cell index over the nodes at x, y: square cells of side h, gx wide
-    and gy high, over the cell box (x0, x1, y0, y1), which holds all but the
-    set's extreme nodes on each axis (see _grid). Node i lies at (tx[i],
-    ty[i]) in cell units, its coordinates clamped into the cell box, in cell
-    (cx[i], cy[i]); cell c = cy*gx + cx holds the nodes order[start[c]:start[c
-    + 1]], ascending, and total[j, i] counts the nodes in the cells below row
-    j and left of column i. box is the set's bounding box.
+    """A cell index over the nodes at x, y with bounding box box, built by its
+    one constructor: square cells of side h, gx wide and gy high, over the
+    cell box cells = (x0, x1, y0, y1). Node i lies at (tx[i], ty[i]) in cell
+    units, its coordinates clamped into the cell box, in cell (cx[i], cy[i]);
+    cell c = cy*gx + cx holds the nodes order[start[c]:start[c + 1]],
+    ascending, and total[j, i] counts the nodes in the cells below row j and
+    left of column i.
+
+    The cells follow the nodes: the cell box leaves out the n // _CLAMP_RANK
+    + 1 least and greatest coordinates of each axis, so a few far nodes,
+    clamped into its edge cells, do not stretch it (below a span of _KEY_MIN
+    it is the bounding box). _GRID_PASSES passes over the occupied cells set
+    h so that they hold about _CELL_NODES nodes each, in at most _MAX_CELLS *
+    n cells; those passes and the index place the nodes through _place.
 
     Its queries, on the block of cells around each node (block): count,
     gather, gaps (to the block sides with cells beyond them), cone_gaps
@@ -181,7 +188,7 @@ class _Grid:
     true distances to those sides, so they stay lower bounds.
 
     Their rounding: t = (x - x0)/h is off by less than 2**-51 * t, and t <=
-    16n (_MAX_CELLS * n / 2, see _grid), so by less than 2**-47 * n, and a
+    16n (_MAX_CELLS * n / 2), so by less than 2**-47 * n, and a
     difference of two by less than 2**-21 for n below 2**25, more points
     than a NodeSet holds in memory. So radius adds _EPS cells, and gaps, a
     cell or more from r = 1 on, take off _EPS relative, which leaves room
@@ -189,13 +196,26 @@ class _Grid:
     bisectors, are off by less than 2**-45 rad, which cone_gaps' widening
     by _DELTA covers."""
 
-    def __init__(self, x, y, box, cells, h):
-        x0, x1, y0, y1 = self.cells = cells
-        self.x, self.y, self.box, self.h = x, y, box, h
-        self.tx, self.ty = _units(x, x0, x1, h), _units(y, y0, y1, h)
-        self.gx, self.gy = gx, gy = int((x1 - x0) / h) + 1, int((y1 - y0) / h) + 1
-        self.cx, self.cy = self.tx.astype(np.intp), self.ty.astype(np.intp)
-        cell = self.cy * gx + self.cx
+    def __init__(self, x, y, box):
+        n = len(x)
+        self.x, self.y, self.box = x, y, box
+        lo = min(n // _CLAMP_RANK + 1, (n - 1) // 2)
+        (x0, x1), (y0, y1) = (np.partition(a, (lo, n - 1 - lo))[[lo, n - 1 - lo]].tolist()
+                              for a in (x, y))
+        if max(x1 - x0, y1 - y0) < _KEY_MIN:
+            x0, x1, y0, y1 = box
+        self.cells, w, hgt = (x0, x1, y0, y1), x1 - x0, y1 - y0
+        # from h >= least on, w/h, hgt/h and their product are at most c, so the
+        # (w/h + 1)(hgt/h + 1) cells number at most 2c + 2 = _MAX_CELLS * n
+        c = _MAX_CELLS * n / 2 - 1
+        least = max(math.sqrt(w * hgt / c), max(w, hgt) / c)
+        # square cells of _CELL_NODES nodes on average over the cell box; a set
+        # near a line gets one row of n / _CELL_NODES cells
+        h = max(math.sqrt(w * hgt * _CELL_NODES / n), max(w, hgt) * _CELL_NODES / n, least)
+        for _ in range(_GRID_PASSES):
+            occupied = np.count_nonzero(np.bincount(self._place(h)))
+            h = max(h * math.sqrt(occupied * _CELL_NODES / n), least)
+        cell, gx, gy = self._place(h), self.gx, self.gy
         counts = np.bincount(cell, minlength=gx * gy)
         self.order = cell.argsort(kind="stable")
         # prefix sums, built in place; int32 holds counts of up to n nodes
@@ -204,6 +224,15 @@ class _Grid:
         self.total = np.zeros((gy + 1, gx + 1), np.int32)
         inner = self.total[1:, 1:]
         counts.reshape(gy, gx).cumsum(0, out=inner).cumsum(1, out=inner)
+
+    def _place(self, h):
+        """Sets h, gx, gy and each node's place (tx, ty) and cell (cx, cy) for
+        cells of side h; returns each node's cell id cy*gx + cx."""
+        x0, x1, y0, y1 = self.cells
+        self.h, self.gx, self.gy = h, int((x1 - x0) / h) + 1, int((y1 - y0) / h) + 1
+        self.tx, self.ty = (np.clip(self.x, x0, x1) - x0) / h, (np.clip(self.y, y0, y1) - y0) / h
+        self.cx, self.cy = self.tx.astype(np.intp), self.ty.astype(np.intp)
+        return self.cy * self.gx + self.cx
 
     def block(self, rows, r):
         """The block of the cells within r of node u's cell in x and in y,
@@ -298,43 +327,11 @@ class _Grid:
 def _grid(x, y) -> _Grid | None:
     """The cell index that construction and the void scan share (NodeSet._grid),
     or None where the set's span is outside [_KEY_MIN, _SPAN_MAX), where the
-    rounding bounds of their certificates do not hold.
-
-    Its cells follow the nodes, not the bounding box. The cell box leaves
-    out the n // _CLAMP_RANK + 1 least and greatest coordinates of each
-    axis, so a few far nodes, clamped into its edge cells, do not stretch
-    it; a cell box of span below _KEY_MIN gives way to the bounding box. The
-    cell side is set from the occupied cells, _GRID_PASSES times, so that
-    they hold about _CELL_NODES nodes each, and kept large enough for at
-    most _MAX_CELLS * n cells, so the prefix sums stay O(n)."""
-    n = len(x)
+    rounding bounds of their certificates do not hold."""
     box = x.min(), x.max(), y.min(), y.max()
     if not _KEY_MIN <= max(box[1] - box[0], box[3] - box[2]) < _SPAN_MAX:
         return None
-    lo = min(n // _CLAMP_RANK + 1, (n - 1) // 2)
-    (x0, x1), (y0, y1) = (np.partition(a, (lo, n - 1 - lo))[[lo, n - 1 - lo]].tolist()
-                          for a in (x, y))
-    if max(x1 - x0, y1 - y0) < _KEY_MIN:
-        x0, x1, y0, y1 = box
-    w, hgt = x1 - x0, y1 - y0
-    # from h >= least on, w/h, hgt/h and their product are at most c, so the
-    # (w/h + 1)(hgt/h + 1) cells number at most 2c + 2 = _MAX_CELLS * n
-    c = _MAX_CELLS * n / 2 - 1
-    least = max(math.sqrt(w * hgt / c), max(w, hgt) / c)
-    # square cells of _CELL_NODES nodes on average over the cell box; a set
-    # near a line gets one row of n / _CELL_NODES cells
-    h = max(math.sqrt(w * hgt * _CELL_NODES / n), max(w, hgt) * _CELL_NODES / n, least)
-    for _ in range(_GRID_PASSES):
-        cell = _units(y, y0, y1, h).astype(np.intp) * (int(w / h) + 1)
-        cell += _units(x, x0, x1, h).astype(np.intp)
-        occupied = np.count_nonzero(np.bincount(cell))
-        h = max(h * math.sqrt(occupied * _CELL_NODES / n), least)
-    return _Grid(x, y, box, (x0, x1, y0, y1), h)
-
-
-def _units(a, lo, hi, h):
-    """The coordinates a, clamped into [lo, hi], in cells of side h from lo."""
-    return (np.clip(a, lo, hi) - lo) / h
+    return _Grid(x, y, box)
 
 
 def _ranges(lo, size):

@@ -12,7 +12,8 @@ a cone boundary belongs to whatever cone the formula yields.
 Each formula has one implementation, on numpy arrays: _angles (arctan2),
 _turns and _cones for cones, _bisectors for bisectors. The construction
 kernel and the relay checks call them on arrays, and the scalar functions
-call them on single values, so cone_of and the kernel always agree.
+on single values: cone_of calls _cones on one-element arrays, so the cone
+rule lives in _cones alone and cone_of and the kernel always agree.
 """
 
 import math
@@ -50,7 +51,7 @@ def clockwise_angle_from_north(origin: Point, p: Point) -> float:
     """Angle in (0, 2pi], measured clockwise from north to the ray origin->p.
 
     Due north maps to 2pi rather than 0, which makes the half-open cone
-    rule fall out of a plain ceiling in cone_of with no special case.
+    rule fall out of a plain ceiling in _cones with no special case.
 
     Raises ValueError for coincident points (degenerate direction).
     """
@@ -65,10 +66,9 @@ def cone_of(origin: Point, p: Point, k: int) -> int:
     belongs to the previous cone (the north ray belongs to cone k).
     """
     k = _check_k(k)
-    # angle <= 2pi, but the product may overshoot k by rounding, and a k
-    # above 2**53 may round up as a double; clamp to the integer range.
-    i = math.ceil(_turns(*_direction(origin, p), k))
-    return min(max(i, 1), k)
+    dx, dy = _direction(origin, p)
+    # a k above 2**53 may round up as a double, so _cones' clamp may pass k
+    return min(int(_cones(np.array([dx]), np.array([dy]), k)[0]), k)
 
 
 def bisector_direction(i: int, k: int) -> tuple[float, float]:

@@ -164,8 +164,8 @@ def _cell_witnesses(grid, indptr, indices):
     candidates."""
     x, y, n = grid.x, grid.y, len(grid.x)
     rows = max(1, _CELL_ENTRIES // (int((indptr[1:] - indptr[:-1]).max()) + 4))
-    reach = np.concatenate([_cell_reach(x, y, grid.box, indptr, indices,
-                                        np.arange(a, min(a + rows, n))) for a in range(0, n, rows)])
+    reach = np.concatenate([_cell_reach(grid, indptr, indices, np.arange(a, min(a + rows, n)))
+                            for a in range(0, n, rows)])
     reach *= 1 + _EPS
     r = grid.radius(reach)
     count = grid.count(np.arange(n), r)
@@ -211,9 +211,9 @@ def _pieces(cost):
     return zip([0, *ends[:-1]], ends)
 
 
-def _cell_reach(x, y, box, indptr, indices, src):
-    """Each node u's reach: a distance beyond which no node v is a witness
-    (u, v) in doubles, or +inf where that is not certified.
+def _cell_reach(grid, indptr, indices, src):
+    """Each node u in src's reach: a distance beyond which no node v is a
+    witness (u, v) in doubles, or +inf where that is not certified.
 
     v is a witness in exact arithmetic only if it lies in u's Voronoi cell
     among u and its neighbors, clipped to the bounding box. Relative to u,
@@ -238,8 +238,7 @@ def _cell_reach(x, y, box, indptr, indices, src):
     its rounding: the q's are off by a few ulps, and each kept turn and edge
     clears _DELTA of its scale, so R is off by less than 2**-25 relative.
     """
-    n = len(src)
-    x0, x1, y0, y1 = box
+    n, x, y, (x0, x1, y0, y1) = len(src), grid.x, grid.y, grid.box
     scale = math.ldexp(1.0, 1 - math.frexp(max(x1 - x0, y1 - y0))[1])
     first, deg = indptr.take(src), indptr.take(src + 1) - indptr.take(src)
     width = int(deg.max())

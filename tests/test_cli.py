@@ -190,6 +190,44 @@ def test_route_unknown_node_exits_2(corpus_files, capsys):
     assert "unknown node" in err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# the squares of these offsets overflow, so d(a, c) is +inf in doubles
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", [["check"], ["route", "--from", "a", "--to", "c"]])
+def test_out_of_range_distance_prints_no_non_json_number(tmp_path, capsys, command):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"nodes": [
+        {"id": "a", "x": 0.0, "y": 0.0}, {"id": "b", "x": 1e200, "y": 0.0},
+        {"id": "c", "x": 3e200, "y": 0.0}, {"id": "d", "x": 0.0, "y": 1e200},
+    ]}))
+    code, out, err = run(capsys, *command, "--input", str(p), "--family", "theta", "--k", "6")
+    # an input error with nothing on stdout, or JSON without Infinity or NaN
+    if code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        json.loads(out, parse_constant=reject_constant)
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64",
+    "",
+])
+def test_memory_error_exits_2_without_traceback(corpus_files, capsys, monkeypatch, message):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "greedy_route", exhausted)
+    code, out, err = run(
+        capsys, "route", "--input", corpus_files["V0"], "--family", "yao", "--k", "6",
+        "--from", "u", "--to", "v",
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
+
+
 # ---------------------------------------------------------------------------
 # search
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from exact import exact_cone
 from hypothesis import strategies as st
 
 from conegraph.geometry import (
@@ -207,6 +208,32 @@ RAY_MULTIPLES = [(math.sin(m * TAU / 12), math.cos(m * TAU / 12)) for m in range
 def test_array_cones_match_cone_of_on_ray_multiples():
     for k in (12, 10**18):
         assert_array_cones_match_cone_of(RAY_MULTIPLES, k)
+
+
+@pytest.mark.parametrize("k", [*range(1, 17), 26, 2**20])
+def test_cone_of_matches_exact_cone(k):
+    # cone_of calls _cones, so the tests above compare the rule with itself;
+    # tests/exact.py decides each cone apart from it, with math.atan2 and a
+    # ceiling far from the rays and the sign of Im(z**k) within 1e-6 turns of
+    # one. Directions within 2**-30 turns of a ray are left out, as doubles
+    # need not decide them. Near the rays the oracle's powers take seconds
+    # at k = 2**20, so that k gets uniformly drawn directions only
+    rng = np.random.default_rng(k)
+    turns = rng.random(200) * k
+    if k <= 26:
+        off = rng.choice((-1.0, 1.0), 200) * 2.0 ** -rng.uniform(21, 29, 200)
+        turns = np.concatenate([turns, rng.integers(0, k, 200) + off])
+    checked = 0
+    for t in turns.tolist():
+        scale = 2.0 ** int(rng.integers(-100, 100))
+        dx, dy = math.sin(t * TAU / k) * scale, math.cos(t * TAU / k) * scale
+        angle = math.atan2(dx, dy)
+        at = (angle if angle > 0 else angle + TAU) * k / TAU
+        if abs(at - round(at)) < 2.0**-30:
+            continue
+        assert cone_of(ORIGIN, Point(dx, dy), k) == exact_cone(Fraction(dx), Fraction(dy), k), t
+        checked += 1
+    assert checked >= 0.95 * len(turns)
 
 
 def ray_directions(k):
