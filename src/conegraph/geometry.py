@@ -142,7 +142,13 @@ def _as_int(value) -> int | None:
 
 
 def _check_k(k) -> int:
+    """k as a plain int, if it is an integer >= 1 that a double can hold: the
+    cone formulas take it as a float."""
     i = _as_int(k)
     if i is None or i < 1:
         raise ValueError(f"cone count must be an integer >= 1, got {k!r}")
+    try:
+        float(i)
+    except OverflowError:
+        raise ValueError("cone count is beyond the double range") from None
     return i

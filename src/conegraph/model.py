@@ -1,8 +1,9 @@
 """Node sets, geometric graphs, routing/void result records, and their
 JSON/CSV serialization. Every array distance goes through _norm, the
 array form of distance: _distances (the distance matrix of small graphs,
-routing and the search batch's candidate distances), the cell scan's
-distances from coordinates, the kernel's Yao keys and the relay checks."""
+the routing oracle's stuck mask and the search batch's candidate
+distances), the greedy step's and the cell scan's distances from
+coordinates, the kernel's Yao keys and the relay checks."""
 
 import csv
 import io
@@ -197,7 +198,9 @@ class GeometricGraph:
 
     @cached_property
     def _dist_rows(self) -> list[list[float]]:
-        # list rows of dist_matrix, for per-hop scalar lookups in routing
+        # list rows of dist_matrix. Nothing in the library reads them, but the
+        # benchmark harness wraps this property by name, and `perfbench/run.py
+        # --trace 1` fails without it
         return self.dist_matrix.tolist()
 
     def dist(self, u: int, v: int) -> float:

@@ -20,8 +20,10 @@ witnesses of the exhaustive scan bit for bit:
   the node set's grid, which construction shares (NodeSet._grid), and
   distances come from the coordinates, so no n x n array is built.
 
-check_by_routing is an independent oracle through greedy forwarding; it
-still reads the distance matrix.
+check_by_routing is an independent oracle through greedy forwarding. It
+marks stuck pairs from its own pass over the distance matrix and replays
+them all in one call of the routing module's array step
+(routing._next_hops), which reads distances from the coordinates.
 
 The cone-relay checks also run over blocks of source rows, so no step
 makes a per-pair Python call. Like the construction kernel, they take
@@ -42,7 +44,9 @@ from .construct import (
     _BLOCK_PAIRS, _DELTA, _EPS, _KEY_MIN, _own_slots, _ranges,
     build_directed_theta, build_directed_yao,
 )
-from .routing import greedy_route
+# greedy_route is not called here; the benchmark harness wraps it through
+# this module's namespace, and `perfbench/run.py --trace 1` fails without it
+from .routing import _next_hops, greedy_route  # noqa: F401
 
 # Distance-matrix entries per pair-scan gather: a block of _SCAN_BLOCK // m
 # source rows of m candidates gathers as many neighbor slots' rows at a
@@ -310,10 +314,10 @@ def check_by_routing(g: GeometricGraph) -> VoidReport:
     u != t, at which greedy forwarding's first step from u fails: no
     neighbor of u is strictly closer to t than u. One numpy step per
     node marks them, reading its neighbors from the CSR rather than
-    through the pair scan's kernel, which this checks; each is replayed
-    once through greedy_route for its neighbor distance. The report
-    equals check_void_free's. Raises RuntimeError if a replay is not
-    stuck at its source (unreachable).
+    through the pair scan's kernel, which this checks; one greedy step
+    over all of them (routing._next_hops) gives their neighbor distances.
+    The report equals check_void_free's. Raises RuntimeError if that step
+    moves any of them (unreachable).
     """
     if g.directed:
         raise ValueError("void-freeness is defined on the undirected graph")
@@ -326,14 +330,15 @@ def check_by_routing(g: GeometricGraph) -> VoidReport:
         best = dist.take(indices[ptr[u]:ptr[u + 1]], axis=0).min(axis=0, initial=np.inf)
         np.greater_equal(best, dist[u], out=stuck[u])
     np.fill_diagonal(stuck, False)
-    witnesses = []
     us, vs = np.nonzero(stuck)
-    for u, v, d_uv in zip(us.tolist(), vs.tolist(), dist[us, vs].tolist()):
-        result = greedy_route(g, u, v)
-        if result.path != (u,):  # a one-node path toward v != u is stuck at u
-            raise RuntimeError(f"greedy route {u} -> {v} is not stuck at its source")
-        witnesses.append(VoidWitness(u, v, d_uv, result.best_neighbor_distance))
-    return VoidReport(void_free=not witnesses, witnesses=tuple(witnesses))
+    best, nxt = _next_hops(*g.nodes.coordinates(), indptr, indices, us, vs)
+    moved = nxt >= 0
+    if moved.any():
+        i = int(moved.argmax())
+        raise RuntimeError(f"greedy step {us[i]} -> {vs[i]} is not stuck at its source")
+    witnesses = tuple(map(VoidWitness, us.tolist(), vs.tolist(), dist[us, vs].tolist(),
+                          best.tolist()))
+    return VoidReport(void_free=not witnesses, witnesses=witnesses)
 
 
 def witness_report_dict(g: GeometricGraph, report: VoidReport) -> dict:

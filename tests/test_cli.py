@@ -279,6 +279,13 @@ def test_search_k6_rejected(capsys):
     assert "theorem guarantees no counterexample" in err
 
 
+def test_cone_count_beyond_the_double_range_exits_2(corpus_files, capsys):
+    code, out, err = run(capsys, "check", "--input", corpus_files["V0"], "--family", "yao",
+                         "--k", "1" + "0" * 400)
+    assert code == 2 and out == ""
+    assert err == "error: cone count is beyond the double range\n"
+
+
 # ---------------------------------------------------------------------------
 # render
 

@@ -200,6 +200,32 @@ def test_array_cones_match_cone_of_elementwise(k):
     assert got.tolist() == [k, k, 1]
 
 
+@pytest.mark.parametrize("k", [pytest.param(2**1024 - 2**970, id="2**1024-2**970"),
+                               pytest.param(10**400, id="10**400")])
+def test_cone_counts_beyond_the_double_range_are_rejected(k):
+    # the cone formulas take k as a float; 2**1024 - 2**970 is the least
+    # integer that rounds past the largest double
+    with pytest.raises(ValueError, match="cone count is beyond the double range"):
+        cone_of(ORIGIN, Point(1, 1), k)
+    with pytest.raises(ValueError, match="cone count is beyond the double range"):
+        bisector_direction(1, k)
+
+
+@pytest.mark.parametrize("k", [pytest.param(k, id=name) for k, name in (
+    (2**53 + 1, "2**53+1"), (2**64 + 5, "2**64+5"), (2**1000, "2**1000"),
+    (2**1023, "2**1023"), (2**1024 - 2**970 - 1, "2**1024-2**970-1"))])
+def test_cone_of_takes_cone_counts_up_to_the_double_range(k):
+    # eighth turns clockwise from north, those whose angle * k, which _turns
+    # forms, stays below the largest double
+    eighths = [m for m in range(1, 9) if math.isfinite(m * TAU / 8 * float(k))]
+    assert eighths
+    for m in eighths:
+        dx, dy = math.sin(m * TAU / 8), math.cos(m * TAU / 8)
+        cone = cone_of(ORIGIN, Point(dx, dy), k)
+        assert type(cone) is int and 1 <= cone <= k
+        assert cone / k == pytest.approx(m / 8, rel=1e-15)
+
+
 # the 12 ray multiples include angles that numpy's arctan2 rounds an ulp
 # away from math.atan2 (numpy 2.4 on x86-64 with AVX-512 does)
 RAY_MULTIPLES = [(math.sin(m * TAU / 12), math.cos(m * TAU / 12)) for m in range(12)]

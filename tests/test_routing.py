@@ -78,6 +78,17 @@ def test_route_and_step_accept_numpy_indices():
         greedy_route(g, np.True_, 2)
 
 
+def test_route_and_step_build_no_distance_matrix():
+    # a hop reads the CSR and the coordinates, not the n x n matrix or its lists
+    g = build(random_nodeset(40, seed=8), "yao", 3)
+    for s in range(0, 40, 3):
+        for t in range(0, 40, 5):
+            greedy_route(g, s, t)
+            if s != t:
+                greedy_step(g, s, t)
+    assert "dist_matrix" not in g.__dict__ and "_dist_rows" not in g.__dict__
+
+
 def test_isolated_node_yields_void_signal():
     ns = NodeSet([("u", Point(0, 0)), ("v", Point(1, 0)), ("w", Point(5, 5))])
     g = GeometricGraph("yao", 2, False, ns, ((0, 1),))

@@ -17,8 +17,10 @@ from conegraph import construct, voidcheck
 from conegraph.construct import build, build_directed_yao
 from conegraph.corpus import load_corpus, random_nodeset
 from conegraph.geometry import TAU, Point, bisector_projection, cone_of
-from conegraph.model import GeometricGraph, NodeSet, VoidWitness, _csr, _distances, distance
-from conegraph.routing import greedy_route
+from conegraph.model import (
+    GeometricGraph, NodeSet, RouteResult, VoidWitness, _csr, _distances, distance,
+)
+from conegraph.routing import greedy_route, greedy_step
 from conegraph.voidcheck import (
     VoidReport,
     check_by_routing,
@@ -365,16 +367,51 @@ def test_routing_oracle_agrees_on_random_graphs():
         assert check_by_routing(g) == check_void_free(g)
 
 
+def reference_step(g, u, t):
+    """One greedy hop from u toward t in scalars, apart from routing's array
+    step: the distance to t of u's neighbor nearest it (model.distance, ties
+    to the smallest index; +inf when u is isolated), and that neighbor, or
+    None unless it is strictly closer to t than u is."""
+    pts = g.nodes.points
+    best, nxt = math.inf, None
+    for w in g.neighbors(u):
+        d = distance(pts[w], pts[t])
+        if d < best:
+            best, nxt = d, w
+    return best, (nxt if best < distance(pts[u], pts[t]) else None)
+
+
+def reference_route(g, s, t, step=reference_step):
+    """greedy_route by reference_step, or by step with its signature."""
+    path = [s]
+    while path[-1] != t:
+        best, nxt = step(g, path[-1], t)
+        if nxt is None:
+            return RouteResult(delivered=False, path=tuple(path), stuck=path[-1],
+                               best_neighbor_distance=best)
+        path.append(nxt)
+    return RouteResult(delivered=True, path=tuple(path))
+
+
 def reference_routing_report(g):
-    """Greedy-route every ordered pair and collect the (stuck node, target)
-    pairs: the all-pairs reference for check_by_routing's first-step test."""
+    """Greedy-route every ordered pair by reference_route and collect the
+    (stuck node, target) pairs: the all-pairs reference for check_by_routing's
+    first-step test. Routes toward one target share their steps, so each
+    step is taken once."""
     n = len(g.nodes)
+    steps = {}
+
+    def step(g, u, t):
+        if (u, t) not in steps:
+            steps[u, t] = reference_step(g, u, t)
+        return steps[u, t]
+
     stuck = {}
     for s in range(n):
         for t in range(n):
             if s == t:
                 continue
-            result = greedy_route(g, s, t)
+            result = reference_route(g, s, t, step)
             if not result.delivered:
                 stuck.setdefault((result.stuck, t), result.best_neighbor_distance)
     witnesses = tuple(
@@ -383,16 +420,19 @@ def reference_routing_report(g):
     return VoidReport(void_free=not witnesses, witnesses=witnesses)
 
 
-def test_routing_oracle_matches_reference():
+def routing_graphs(side, count):
+    """count random graphs of 1 to 30 nodes, a side x side integer lattice (ties),
+    a collinear set, one- and two-node sets, a neighbor exactly as far from the
+    target as its source, and an isolated node (the last two graphs)."""
     graphs = []
-    for seed in range(240):
+    for seed in range(count):
         n = 1 + seed % 30
         k = 1 + (seed * 7) % 12
         family = "yao" if seed % 2 else "theta"
         graphs.append(build(random_nodeset(n, seed=2000 + seed), family, k))
-    lattice = NodeSet((f"g{x}_{y}", Point(x, y)) for x in range(12) for y in range(12))
+    lattice = NodeSet((f"g{x}_{y}", Point(x, y)) for x in range(side) for y in range(side))
     collinear = NodeSet((f"c{i}", Point(i, 2 * i)) for i in range(9))
-    # one family per lattice k: each 144-node reference costs 20,592 routes
+    # one family per lattice k: a 144-node reference costs 20,592 routes
     graphs.extend(build(lattice, ("yao", "theta")[k % 2], k) for k in range(1, 13))
     for family in ("yao", "theta"):
         graphs.extend(build(collinear, family, k) for k in (1, 2, 3, 6))
@@ -404,12 +444,29 @@ def test_routing_oracle_matches_reference():
     # w is isolated: its witnesses carry an infinite neighbor distance
     ns = NodeSet([("u", Point(0, 0)), ("v", Point(1, 0)), ("w", Point(5, 5))])
     graphs.append(GeometricGraph("yao", 2, False, ns, ((0, 1),)))
+    return graphs
+
+
+def test_routing_oracle_matches_reference():
+    graphs = routing_graphs(12, 240)
     for g in graphs:
         assert check_by_routing(g) == reference_routing_report(g)
     assert (0, 2) in {(w.u, w.v) for w in check_by_routing(graphs[-2]).witnesses}
     isolated = [w for w in check_by_routing(graphs[-1]).witnesses if w.u == 2]
     assert [w.v for w in isolated] == [0, 1]
     assert all(math.isinf(w.min_neighbor_distance) for w in isolated)
+
+
+def test_greedy_route_matches_reference_route():
+    # every pair, on a smaller lattice and fewer random graphs than the oracle
+    # test: greedy_route takes an array step per hop
+    for g in routing_graphs(5, 30):
+        n = len(g.nodes)
+        for s in range(n):
+            for t in range(n):
+                assert greedy_route(g, s, t) == reference_route(g, s, t), (s, t)
+                if s != t:
+                    assert greedy_step(g, s, t) == reference_step(g, s, t)[1]
 
 
 def test_adding_the_pair_edge_removes_its_witness():
