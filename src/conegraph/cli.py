@@ -12,6 +12,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from .construct import build
 from .corpus import search_counterexample
 from .model import (
@@ -34,7 +36,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # a distance beyond the double range overflows to inf, which the JSON
+        # output then rejects as an input error
+        with np.errstate(over="ignore"):
+            return args.handler(args)
     except (CliError, ValueError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

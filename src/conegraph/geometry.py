@@ -142,13 +142,15 @@ def _as_int(value) -> int | None:
 
 
 def _check_k(k) -> int:
-    """k as a plain int, if it is an integer >= 1 that a double can hold: the
-    cone formulas take it as a float."""
+    """k as a plain int, if it is an integer >= 1 whose double times 2pi is
+    finite: the cone formulas take k as a float, and _turns multiplies an
+    angle of up to 2pi by it."""
     i = _as_int(k)
     if i is None or i < 1:
         raise ValueError(f"cone count must be an integer >= 1, got {k!r}")
     try:
-        float(i)
+        if math.isfinite(float(i) * TAU):
+            return i
     except OverflowError:
-        raise ValueError("cone count is beyond the double range") from None
-    return i
+        pass
+    raise ValueError("cone count is beyond the double range")

@@ -1,9 +1,10 @@
 """Node sets, geometric graphs, routing/void result records, and their
 JSON/CSV serialization. Every array distance goes through _norm, the
-array form of distance: _distances (the distance matrix of small graphs,
-the routing oracle's stuck mask and the search batch's candidate
-distances), the greedy step's and the cell scan's distances from
-coordinates, the kernel's Yao keys and the relay checks."""
+array form of distance: _distances (the distance matrix of small graphs
+and the routing oracle, and the search batch's candidate distances), the
+cell scan's distances from coordinates, the kernel's Yao keys and the
+relay checks. The greedy step calls distance itself, which matches _norm
+bit for bit."""
 
 import csv
 import io
@@ -106,10 +107,10 @@ class GeometricGraph:
     sorted, in one pass (_check_edges); the builders' keys are valid by
     construction (_from_keys). They are stored as `keys`, one sorted
     read-only intp array of flat keys u*n + v: one per directed edge, or
-    both directions of every undirected edge, which makes the keys the
-    graph's CSR adjacency (`csr`). Equality and hashing compare the
-    fields; `warning` and the views `edges` and `adjacency` are derived,
-    the views on first use only.
+    both directions of every undirected edge, so the keys are the graph's
+    CSR adjacency (`csr`), which `neighbors` reads. Equality and
+    hashing compare the fields; `warning` and the view `edges` are
+    derived, the view on first use only.
     """
 
     family: str
@@ -173,15 +174,6 @@ class GeometricGraph:
             u, v = u[u < v], v[u < v]
         return tuple(zip(u.tolist(), v.tolist()))
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-node sorted neighbor indices (undirected graphs only)."""
-        if self.directed:
-            raise ValueError("adjacency is defined on the undirected graph")
-        indptr, indices = self.csr
-        nbrs = indices.tolist()
-        return tuple(tuple(nbrs[a:b]) for a, b in zip(indptr.tolist(), indptr[1:].tolist()))
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Nodes sharing an edge with u, ascending by index.
 
@@ -189,7 +181,11 @@ class GeometricGraph:
         forwarding are evaluated there, never on a union of in/out
         neighborhoods of the directed form.
         """
-        return self.adjacency[self._check_node(u)]
+        if self.directed:
+            raise ValueError("neighbors are defined on the undirected graph")
+        u = self._check_node(u)
+        indptr, indices = self.csr
+        return tuple(indices[indptr[u]:indptr[u + 1]].tolist())
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:

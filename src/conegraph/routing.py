@@ -5,17 +5,15 @@ Each hop goes to the neighbor closest to the target; a packet is stuck
 current node. Distances to the target strictly decrease along any
 delivered path, so routes terminate in fewer than |V| steps.
 
-One array step, _next_hops, takes the hop of many (node, target) pairs
-at once. It reads neighbors from the graph's CSR and distances from the
-coordinates through model._norm, so no n x n array is built.
-greedy_step and greedy_route run it on one-element arrays at each hop,
-and voidcheck.check_by_routing on all of its stuck pairs in one call.
+A hop (_hop) reads u's neighbors from the graph's CSR and their distances
+to the target through model.distance, which matches the void scan's
+array distances bit for bit. It costs O(degree) and builds no array, so
+routes answer at any n.
 """
 
-import numpy as np
+import math
 
-from .construct import _ranges
-from .model import GeometricGraph, RouteResult, _norm
+from .model import GeometricGraph, RouteResult, distance
 
 
 def greedy_step(g: GeometricGraph, u: int, t: int) -> int | None:
@@ -31,7 +29,7 @@ def greedy_step(g: GeometricGraph, u: int, t: int) -> int | None:
     if u == t:
         raise ValueError("already delivered: node is the target")
     _check_undirected(g)
-    return _hop(*g.nodes.coordinates(), *g.csr, u, t)[1]
+    return _hop(g, u, t)[1]
 
 
 def greedy_route(g: GeometricGraph, s: int, t: int) -> RouteResult:
@@ -42,12 +40,10 @@ def greedy_route(g: GeometricGraph, s: int, t: int) -> RouteResult:
     _check_undirected(g)
     s = g._check_node(s)
     t = g._check_node(t)
-    x, y = g.nodes.coordinates()
-    indptr, indices = g.csr
     path = [s]
     while path[-1] != t:
         u = path[-1]
-        best, nxt = _hop(x, y, indptr, indices, u, t)
+        best, nxt = _hop(g, u, t)
         if nxt is None:
             return RouteResult(
                 delivered=False, path=tuple(path), stuck=u, best_neighbor_distance=best
@@ -63,32 +59,16 @@ def _check_undirected(g: GeometricGraph):
         raise ValueError("greedy forwarding is defined on the undirected graph")
 
 
-def _hop(x, y, indptr, indices, u: int, t: int) -> tuple[float, int | None]:
-    """_next_hops for the one pair (u, t), with None for -1."""
-    best, nxt = _next_hops(x, y, indptr, indices, np.array([u]), np.array([t]))
-    return float(best[0]), (int(nxt[0]) if nxt[0] >= 0 else None)
-
-
-def _next_hops(x, y, indptr, indices, u, t):
-    """For each pair (u[i], t[i]) of nodes at x, y, with u[i]'s neighbors
-    indices[indptr[u[i]]:indptr[u[i] + 1]] ascending: the distance to t[i]
-    of u[i]'s neighbor nearest to it (+inf when u[i] is isolated), and that
-    neighbor, or -1 when it is not strictly closer to t[i] than u[i] is.
-    Ties go to the smallest index."""
-    first = indptr.take(u)
-    deg = indptr.take(u + 1) - first
-    w = indices.take(_ranges(first, deg))
-    tw = np.repeat(t, deg)
-    d = _norm(x.take(w) - x.take(tw), y.take(w) - y.take(tw))
-    best = np.full(len(u), np.inf)
-    nxt = np.full(len(u), -1, np.intp)
-    some = deg > 0
-    if some.any():
-        start = (deg.cumsum() - deg)[some]
-        best[some] = np.minimum.reduceat(d, start)
-        # each pair's first slot at its minimum (distances are never NaN):
-        # neighbors ascend, so it holds the smallest-index nearest one
-        slot = np.where(d == np.repeat(best, deg), np.arange(d.size), d.size)
-        nxt[some] = w.take(np.minimum.reduceat(slot, start))
-    nxt[~(best < _norm(x.take(u) - x.take(t), y.take(u) - y.take(t)))] = -1
-    return best, nxt
+def _hop(g: GeometricGraph, u: int, t: int) -> tuple[float, int | None]:
+    """The distance to t of u's neighbor nearest to it (+inf when u is
+    isolated), and that neighbor, or None unless it is strictly closer to
+    t than u is. Neighbors ascend, so ties go to the smallest index."""
+    indptr, indices = g.csr
+    pts = g.nodes.points
+    target = pts[t]
+    best, nxt = math.inf, None
+    for w in indices[indptr[u]:indptr[u + 1]].tolist():
+        d = distance(pts[w], target)
+        if d < best:
+            best, nxt = d, w
+    return best, (nxt if best < distance(pts[u], target) else None)

@@ -103,9 +103,9 @@ def test_cone_of_count_sees_relay_checks_only(harness):
 
 
 def test_oracle_routes_no_pair_through_greedy_route(harness):
-    # check_by_routing takes one array step over all its stuck pairs
-    # (routing._next_hops); the harness still wraps greedy_route by name, and
-    # on the oracle that count stays 0
+    # check_by_routing keeps each node's neighbor minima from its own pass over
+    # the distance matrix and routes no pair; the harness still wraps
+    # greedy_route by name, and on the oracle that count stays 0
     run, tracing = harness
     lib = load_lib(run)
     tracer = tracing.Tracer()

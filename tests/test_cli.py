@@ -195,7 +195,6 @@ def reject_constant(name):
 
 
 # the squares of these offsets overflow, so d(a, c) is +inf in doubles
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", [["check"], ["route", "--from", "a", "--to", "c"]])
 def test_out_of_range_distance_prints_no_non_json_number(tmp_path, capsys, command):
     p = tmp_path / "huge.json"

@@ -200,11 +200,18 @@ def test_array_cones_match_cone_of_elementwise(k):
     assert got.tolist() == [k, k, 1]
 
 
-@pytest.mark.parametrize("k", [pytest.param(2**1024 - 2**970, id="2**1024-2**970"),
-                               pytest.param(10**400, id="10**400")])
+# the largest cone count whose double times 2pi is finite: the largest such
+# double, plus half its ulp, which rounds to it (its mantissa is even)
+K_MAX = int(float.fromhex("0x1.45f306dc9c882p+1021")) + 2**968
+
+
+@pytest.mark.parametrize("k", [pytest.param(k, id=name) for k, name in (
+    (K_MAX + 1, "K_MAX+1"), (2**1023, "2**1023"), (2**1024 - 2**970 - 1, "2**1024-2**970-1"),
+    (2**1024 - 2**970, "2**1024-2**970"), (10**400, "10**400"))])
 def test_cone_counts_beyond_the_double_range_are_rejected(k):
-    # the cone formulas take k as a float; 2**1024 - 2**970 is the least
-    # integer that rounds past the largest double
+    # _turns multiplies an angle of up to 2pi by k as a float, which
+    # overflows above K_MAX; 2**1024 - 2**970 is the least integer that
+    # rounds past the largest double itself
     with pytest.raises(ValueError, match="cone count is beyond the double range"):
         cone_of(ORIGIN, Point(1, 1), k)
     with pytest.raises(ValueError, match="cone count is beyond the double range"):
@@ -212,14 +219,10 @@ def test_cone_counts_beyond_the_double_range_are_rejected(k):
 
 
 @pytest.mark.parametrize("k", [pytest.param(k, id=name) for k, name in (
-    (2**53 + 1, "2**53+1"), (2**64 + 5, "2**64+5"), (2**1000, "2**1000"),
-    (2**1023, "2**1023"), (2**1024 - 2**970 - 1, "2**1024-2**970-1"))])
+    (2**53 + 1, "2**53+1"), (2**64 + 5, "2**64+5"), (2**1000, "2**1000"), (K_MAX, "K_MAX"))])
 def test_cone_of_takes_cone_counts_up_to_the_double_range(k):
-    # eighth turns clockwise from north, those whose angle * k, which _turns
-    # forms, stays below the largest double
-    eighths = [m for m in range(1, 9) if math.isfinite(m * TAU / 8 * float(k))]
-    assert eighths
-    for m in eighths:
+    # eighth turns clockwise from north
+    for m in range(1, 9):
         dx, dy = math.sin(m * TAU / 8), math.cos(m * TAU / 8)
         cone = cone_of(ORIGIN, Point(dx, dy), k)
         assert type(cone) is int and 1 <= cone <= k

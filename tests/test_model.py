@@ -261,7 +261,9 @@ def test_edges_are_stored_as_flat_keys_and_csr():
     assert undirected.edges == ((0, 1), (0, 2))
     indptr, indices = undirected.csr
     assert indptr.tolist() == [0, 2, 3, 4, 4] and indices.tolist() == [1, 2, 0, 0]
-    assert undirected.adjacency == ((1, 2), (0,), (0,), ())
+    rows = [undirected.neighbors(u) for u in range(4)]
+    assert rows == [(1, 2), (0,), (0,), ()]
+    assert all(type(w) is int for row in rows for w in row)
     assert undirected == GeometricGraph("yao", 2, False, ns, [[0, 1], [0, 2]])
     assert hash(undirected) == hash(GeometricGraph("yao", 2, False, ns, ((0, 1), (0, 2))))
     assert undirected != directed and undirected != GeometricGraph("yao", 3, False, ns, ((0, 1),))

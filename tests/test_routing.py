@@ -58,7 +58,7 @@ def test_step_rejects_directed_graph():
 @pytest.mark.parametrize("s, t", [(0, 0), (0, 1)])
 def test_route_rejects_directed_graph(s, t):
     g = build_directed_yao(random_nodeset(5, seed=1), 3)
-    # raised before the first hop, not by the adjacency lookup
+    # raised before the first hop, not by the neighbor lookup
     with pytest.raises(ValueError, match="greedy forwarding is defined on the undirected graph"):
         greedy_route(g, s, t)
 
@@ -87,6 +87,22 @@ def test_route_and_step_build_no_distance_matrix():
             if s != t:
                 greedy_step(g, s, t)
     assert "dist_matrix" not in g.__dict__ and "_dist_rows" not in g.__dict__
+
+
+def test_route_and_step_read_no_coordinate_arrays(monkeypatch):
+    # a hop reads u's CSR slice and the points it names: O(degree), not the
+    # O(n) coordinate arrays of the whole set
+    g = build(random_nodeset(40, seed=8), "yao", 3)
+
+    def unread(self):
+        raise AssertionError("routing built the coordinate arrays")
+
+    monkeypatch.setattr(NodeSet, "coordinates", unread)
+    for s in range(40):
+        for t in range(40):
+            greedy_route(g, s, t)
+            if s != t:
+                greedy_step(g, s, t)
 
 
 def test_isolated_node_yields_void_signal():

@@ -368,10 +368,10 @@ def test_routing_oracle_agrees_on_random_graphs():
 
 
 def reference_step(g, u, t):
-    """One greedy hop from u toward t in scalars, apart from routing's array
-    step: the distance to t of u's neighbor nearest it (model.distance, ties
-    to the smallest index; +inf when u is isolated), and that neighbor, or
-    None unless it is strictly closer to t than u is."""
+    """One greedy hop from u toward t, kept apart from routing's _hop: the
+    distance to t of u's neighbor nearest it (model.distance over
+    g.neighbors, ties to the smallest index; +inf when u is isolated), and
+    that neighbor, or None unless it is strictly closer to t than u is."""
     pts = g.nodes.points
     best, nxt = math.inf, None
     for w in g.neighbors(u):
@@ -450,7 +450,12 @@ def routing_graphs(side, count):
 def test_routing_oracle_matches_reference():
     graphs = routing_graphs(12, 240)
     for g in graphs:
-        assert check_by_routing(g) == reference_routing_report(g)
+        report = check_by_routing(g)
+        assert report == reference_routing_report(g)
+        # the oracle's stuck pairs are stuck for greedy forwarding too
+        for w in report.witnesses:
+            assert greedy_step(g, w.u, w.v) is None
+            assert greedy_route(g, w.u, w.v).best_neighbor_distance == w.min_neighbor_distance
     assert (0, 2) in {(w.u, w.v) for w in check_by_routing(graphs[-2]).witnesses}
     isolated = [w for w in check_by_routing(graphs[-1]).witnesses if w.u == 2]
     assert [w.v for w in isolated] == [0, 1]
@@ -459,7 +464,7 @@ def test_routing_oracle_matches_reference():
 
 def test_greedy_route_matches_reference_route():
     # every pair, on a smaller lattice and fewer random graphs than the oracle
-    # test: greedy_route takes an array step per hop
+    # test, which routes only its witnesses
     for g in routing_graphs(5, 30):
         n = len(g.nodes)
         for s in range(n):
