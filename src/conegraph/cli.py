@@ -3,8 +3,8 @@ packets, search for counterexamples, and render figures.
 
 Exit codes: 0 success (delivered / void-free / found), 1 negative
 result (voids found / stuck / search exhausted), 2 usage or input
-error, including a distance that JSON cannot carry (one beyond the
-double range) and a set too large for memory (MemoryError).
+error, including a number beyond the double range, which JSON and SVG
+cannot carry (render writes no file), and a set too large for memory.
 """
 
 import argparse
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # a distance beyond the double range overflows to inf, which the JSON
-        # output then rejects as an input error
+        # or SVG output then rejects as an input error
         with np.errstate(over="ignore"):
             return args.handler(args)
     except (CliError, ValueError, OSError, MemoryError) as exc:

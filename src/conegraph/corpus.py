@@ -152,14 +152,14 @@ def search_counterexample(
     where no counterexample exists, and a budget below one trial; k,
     n_nodes and budget must be integers (numpy's included), not bools.
 
-    Trial 1 is built and scanned on its own. Later trials may be
-    evaluated speculatively: they are drawn in batches of 2, 4, 8, ...
-    trials, and each batch, whatever its sets' sizes, is built in one
-    kernel pass and scanned in one. The first trial of a batch with a
-    void is rebuilt and confirmed by check_void_free. The draws come
-    from the same random stream in the same order as one trial at a
-    time, so the reported trials and nodes are those of the first trial
-    with a void; draws past it are discarded.
+    Trial 1 is built and scanned on its own; has_void's verdict on it
+    stands. Later trials are drawn in batches of 2, 4, 8, ..., each
+    built in one kernel pass and scanned in one whatever its sets' sizes.
+    That path is separate from build, so a batch's first trial with a
+    void is rebuilt and confirmed by check_void_free (RuntimeError if
+    not). The draws come from the same random stream in the same order as
+    one trial at a time, so the reported trials and nodes are those of
+    the first trial with a void; draws past it are discarded.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -180,7 +180,7 @@ def search_counterexample(
 
     g = build(_node_set(draw()), family, k)
     if has_void(g):
-        return _confirmed(g, 1)
+        return SearchResult(nodes=g.nodes, trials=1)
     # a batch of the largest trials fits one construction block
     n_max = 8 if n_nodes is None else n_nodes
     cap = max(1, _BLOCK_PAIRS // (n_max * n_max))
@@ -189,7 +189,11 @@ def search_counterexample(
         batch = [draw() for _ in range(min(size, cap, budget - trial))]
         hit = _first_void(batch, family, k)
         if hit is not None:
-            return _confirmed(build(_node_set(batch[hit]), family, k), trial + hit + 1)
+            trial += hit + 1
+            g = build(_node_set(batch[hit]), family, k)
+            if check_void_free(g).void_free:
+                raise RuntimeError(f"the void at trial {trial} is not confirmed by the pair scan")
+            return SearchResult(nodes=g.nodes, trials=trial)
         trial += len(batch)
         size *= 2
     return SearchResult(nodes=None, trials=budget)
@@ -222,14 +226,6 @@ def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:
         return None
     u = block[0][0]  # the first witness is in the first set with a void
     return int(ends.searchsorted(u, side="right"))
-
-
-def _confirmed(g, trials: int) -> SearchResult:
-    """The search result for trial number `trials`, whose graph g was
-    found to have a void, once the full pair scan agrees."""
-    if check_void_free(g).void_free:
-        raise RuntimeError(f"the void found at trial {trials} is not confirmed by the pair scan")
-    return SearchResult(nodes=g.nodes, trials=trials)
 
 
 def _sample_points(rng: random.Random, n: int) -> list[float]:

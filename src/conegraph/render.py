@@ -6,13 +6,15 @@ d(u, v), which makes void scenarios visible at a glance. The same graph
 always renders to byte-identical SVG.
 """
 
+import math
+
 from .model import GeometricGraph, distance
 
 
 def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None) -> str:
-    """SVG document for a graph; highlight_pair is a pair of node indices."""
+    """SVG document for a graph; highlight_pair is a pair of node indices.
+    A number the figure needs beyond the double range raises ValueError."""
     pts = g.nodes.points
-    ids = g.nodes.ids
 
     # SVG's y-axis points down; flip so north stays up in the image.
     xs = [p.x for p in pts]
@@ -65,7 +67,7 @@ def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None)
             'markerWidth="6" markerHeight="6" orient="auto-start-reverse">'
             '<path d="M 0 0 L 10 5 L 0 10 z"/></marker></defs>'
         ))
-    for idx, name in enumerate(ids):
+    for idx, name in enumerate(g.nodes.ids):
         parts.append(
             f'<circle class="node" cx="{fx[idx]}" cy="{fy[idx]}" r="{radius}" '
             f'fill="#ffffff" stroke="#000000" stroke-width="{width}"/>'
@@ -79,6 +81,8 @@ def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None)
 
 
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"the figure needs a number beyond the double range ({value})")
     out = f"{value:.6f}"
     return "0.000000" if out == "-0.000000" else out
 

@@ -195,19 +195,28 @@ def reject_constant(name):
 
 
 # the squares of these offsets overflow, so d(a, c) is +inf in doubles
-@pytest.mark.parametrize("command", [["check"], ["route", "--from", "a", "--to", "c"]])
+@pytest.mark.parametrize("command", [
+    ["check"],
+    ["route", "--from", "a", "--to", "c"],
+    ["render", "--highlight-pair", "a", "c"],
+])
 def test_out_of_range_distance_prints_no_non_json_number(tmp_path, capsys, command):
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"nodes": [
         {"id": "a", "x": 0.0, "y": 0.0}, {"id": "b", "x": 1e200, "y": 0.0},
         {"id": "c", "x": 3e200, "y": 0.0}, {"id": "d", "x": 0.0, "y": 1e200},
     ]}))
+    svg = tmp_path / "huge.svg"
+    if command[0] == "render":
+        command = [*command, "--out", str(svg)]
     code, out, err = run(capsys, *command, "--input", str(p), "--family", "theta", "--k", "6")
-    # an input error with nothing on stdout, or JSON without Infinity or NaN
+    # an input error with nothing on stdout, or JSON without Infinity or NaN;
+    # render has no JSON to print, so it must exit 2 and write no figure
     if code == 2:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
     else:
         json.loads(out, parse_constant=reject_constant)
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize("message", [

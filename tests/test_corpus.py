@@ -399,11 +399,25 @@ def test_search_on_large_node_sets_uses_one_trial_batches():
     assert outcome(search_counterexample("theta", 5, 200, seed=3, budget=3)) == want
 
 
-def test_first_trial_verdict_is_confirmed_by_the_scan(monkeypatch):
-    assert reference_search("yao", 5, seed=1, budget=1) == (1, None)
-    monkeypatch.setattr(corpus, "has_void", lambda g: True)
-    with pytest.raises(RuntimeError, match="not confirmed"):
-        search_counterexample("yao", 5, seed=1, budget=1)
+@pytest.mark.parametrize("k, trials, scans", [
+    (1, 1, 0),  # trial 1's has_void verdict stands without a second scan
+    (3, 5, 1),  # a void in the batch of trials 4..7 is rebuilt and scanned
+])
+def test_search_scans_again_only_a_batch_hit(monkeypatch, k, trials, scans):
+    calls = {"has_void": 0, "check_void_free": 0}
+
+    def counted(name):
+        real = getattr(corpus, name)
+
+        def wrapper(g):
+            calls[name] += 1
+            return real(g)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(corpus, name, counted(name))
+    assert search_counterexample("yao", k, seed=0, budget=100).trials == trials
+    assert calls == {"has_void": 1, "check_void_free": scans}
 
 
 def test_batch_verdict_is_confirmed_by_the_scan(monkeypatch):

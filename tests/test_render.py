@@ -86,3 +86,20 @@ def test_render_directed_uses_markers():
     g = build(ns, "yao", 4, directed=True)
     svg = render_svg(g)
     assert "marker-end" in svg and "<defs>" in svg
+
+
+# the build's squared distances overflow at 2**600
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("e", [-600, -300, 0, 300, 600])
+def test_render_under_exact_rescaling_prints_only_finite_numbers(e):
+    # 2**e scales every coordinate exactly; at 2**600 d(u, v)**2 overflows
+    v2 = next(entry for entry in load_corpus() if entry.name == "V2")
+    scale = 2.0**e
+    nodes = NodeSet((name, Point(p.x * scale, p.y * scale))
+                    for name, p in zip(v2.nodes.ids, v2.nodes.points))
+    pair = (nodes.index_of("u"), nodes.index_of("v"))
+    try:
+        svg = render_svg(build(nodes, "yao", 5), highlight_pair=pair)
+    except ValueError:
+        return
+    assert "inf" not in svg and "nan" not in svg
