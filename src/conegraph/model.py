@@ -104,9 +104,10 @@ class GeometricGraph:
     Directed edges are (source, target) pairs, at most one per source
     cone, so out-degrees never exceed k; undirected ones are listed once
     as (i, j) with i < j. The constructor checks user edges, given
-    sorted, in one pass (_check_edges); the builders' keys are valid by
-    construction (_from_keys). They are stored as `keys`, one sorted
-    read-only intp array of flat keys u*n + v: one per directed edge, or
+    sorted, in one pass in their order that names the first faulty edge
+    (_edge_keys); the builders' keys are valid by construction
+    (_from_keys). They are stored as `keys`, one sorted read-only intp
+    array of flat keys u*n + v: one per directed edge, or
     both directions of every undirected edge, so the keys are the graph's
     CSR adjacency (`csr`), which `neighbors` reads. Equality and
     hashing compare the fields; `warning` and the view `edges` are
@@ -124,7 +125,7 @@ class GeometricGraph:
             raise ValueError(f"unknown family {family!r}")
         k = _check_k(k)
         n = len(nodes)
-        keys = _check_edges(edges, _edge_pairs(edges, n), n, k, directed)
+        keys = _edge_keys(edges, n, k, directed)
         if not directed:
             keys = _symmetric_keys(keys, n)
         self.__dict__.update(family=family, k=k, directed=directed, nodes=nodes,
@@ -210,58 +211,46 @@ class GeometricGraph:
         return i
 
 
-def _edge_pairs(edges, n: int) -> np.ndarray:
-    """User-supplied edges as an (m, 2) intp array. Each endpoint must be
-    an integer (see _as_int); one outside 0..n-1 becomes -1, so that it
-    still reads as a missing node."""
-    flat = []
+def _edge(e) -> tuple[int, int]:
+    """A user edge as two plain ints; each endpoint must be an integer (see
+    _as_int)."""
+    try:
+        a, b = e
+    except (TypeError, ValueError):
+        raise ValueError("edges must be (source, target) pairs") from None
+    i, j = _as_int(a), _as_int(b)
+    if i is None or j is None:
+        raise ValueError(f"edge endpoint must be an integer, got {(a if i is None else b)!r}")
+    return i, j
+
+
+def _edge_keys(edges, n: int, k: int, directed: bool) -> np.ndarray:
+    """The flat keys u*n + v of the user's edges; raises the message of the
+    first faulty edge, if any. Each edge in turn is converted (_edge), then
+    tested for an endpoint out of range, a self-loop, not following its
+    predecessor in strictly increasing order, and an out-degree above k
+    (directed) or i > j (undirected)."""
+    keys = []
+    prev = src = -1  # the last key and its source
+    degree = 0  # src's edges so far
     for e in edges:
-        try:
-            a, b = e
-        except (TypeError, ValueError):
-            raise ValueError("edges must be (source, target) pairs") from None
-        for v in (a, b):
-            i = _as_int(v)
-            if i is None:
-                raise ValueError(f"edge endpoint must be an integer, got {v!r}")
-            flat.append(i if 0 <= i < n else -1)
-    return np.array(flat, np.intp).reshape(-1, 2)
-
-
-def _check_edges(edges, pairs, n: int, k: int, directed: bool) -> np.ndarray:
-    """The flat keys u*n + v of the user's edges, whose endpoints are the
-    rows of pairs; raises the message of the first faulty edge, if any.
-
-    Each edge is tested for, in order: an endpoint out of range, a
-    self-loop, not following its predecessor in strictly increasing
-    order, and an out-degree above k (directed) or i > j (undirected).
-    While every earlier edge is sound, each test needs only the edge and
-    its predecessors, so one mask over all edges finds the first fault."""
-    a, b = pairs.T
-    keys = a * n + b
-    missing = (pairs < 0).any(axis=1)
-    loop = a == b
-    unordered = np.zeros_like(loop)
-    unordered[1:] = keys[1:] <= keys[:-1]
-    if directed:  # sorted sources: a source's (k+1)-th edge repeats it k edges back
-        excess = np.zeros_like(loop)
-        excess[k:] = a[k:] == a[:-k]
-    else:
-        excess = a > b
-    fault = missing | loop | unordered | excess
-    if not fault.any():
-        return keys
-    i = int(fault.argmax())
-    e = edges[i]
-    if missing[i]:
-        raise ValueError(f"edge {e} references a missing node")
-    if loop[i]:
-        raise ValueError(f"self-loop at node {e[0]}")
-    if unordered[i]:
-        raise ValueError("edges must be sorted" if keys[i] < keys[i - 1] else f"duplicate edge {e}")
-    if directed:
-        raise ValueError(f"out-degree exceeds k={k}")
-    raise ValueError(f"undirected edge {e} not normalized as (i, j) with i < j")
+        a, b = _edge(e)
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge {e} references a missing node")
+        if a == b:
+            raise ValueError(f"self-loop at node {a}")
+        key = a * n + b
+        if key <= prev:
+            raise ValueError("edges must be sorted" if key < prev else f"duplicate edge {e}")
+        if directed:
+            degree = degree + 1 if a == src else 1
+            if degree > k:
+                raise ValueError(f"out-degree exceeds k={k}")
+        elif a > b:
+            raise ValueError(f"undirected edge {e} not normalized as (i, j) with i < j")
+        keys.append(key)
+        prev, src = key, a
+    return np.array(keys, np.intp)
 
 
 @dataclass(frozen=True)
@@ -364,13 +353,18 @@ def node_set_to_csv(nodes: NodeSet) -> str:
 
 
 def node_set_from_csv(text: str) -> NodeSet:
+    """Inverse of node_set_to_csv: the header 'id,x,y', then one row of
+    exactly those three fields per node; blank lines are skipped."""
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows or [c.strip() for c in rows[0]] != ["id", "x", "y"]:
         raise ValueError("CSV node sets need the header 'id,x,y'")
+    for row in rows[1:]:
+        if len(row) != 3:
+            raise ValueError(f"malformed CSV node row: {row} has {len(row)} fields, not 3")
     try:
-        return NodeSet((row[0], Point(float(row[1]), float(row[2]))) for row in rows[1:])
-    except (IndexError, ValueError) as exc:
+        return NodeSet((i, Point(float(x), float(y))) for i, x, y in rows[1:])
+    except ValueError as exc:
         raise ValueError(f"malformed CSV node row: {exc}") from exc
 
 
@@ -386,13 +380,12 @@ def graph_to_dict(g: GeometricGraph) -> dict:
 
 def graph_from_dict(data: dict) -> GeometricGraph:
     """Inverse of graph_to_dict. k and the edge endpoints must be JSON
-    integers and directed a JSON bool; nothing is coerced."""
+    integers and directed a JSON bool; nothing is coerced. The edges may
+    come in any order: each is made a pair of ints (_edge), and the pairs
+    are sorted before the constructor checks them."""
     try:
         nodes = node_set_from_dict({"nodes": data["nodes"]})
-        # a sort key that cannot fail: an endpoint that is not an integer ranks
-        # as -1, and the constructor names it
-        edges = tuple(sorted(((a, b) for a, b in data["edges"]),
-                             key=lambda e: [-1 if i is None else i for i in map(_as_int, e)]))
+        edges = tuple(sorted(map(_edge, data["edges"])))
         directed = data["directed"]
         if not isinstance(directed, bool):
             raise ValueError(f"directed must be true or false, got {directed!r}")

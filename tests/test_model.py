@@ -147,8 +147,8 @@ BIG = 10**30  # beyond intp: numpy would make an object array of it
 
 # (directed, k, edges, the exact message) over three nodes; the later
 # rows hold two faults each, and the message names the first edge at
-# fault, tested in the order range, self-loop, order, then out-degree
-# (directed) or normalization (undirected)
+# fault, tested in the order endpoint type, range, self-loop, order, then
+# out-degree (directed) or normalization (undirected)
 EDGE_FAULTS = [
     (True, 2, ((-1, 0),), "edge (-1, 0) references a missing node"),
     (False, 2, ((0, 3),), "edge (0, 3) references a missing node"),
@@ -171,6 +171,9 @@ EDGE_FAULTS = [
     (False, 2, ((1, 2), (1, 0)), "edges must be sorted"),
     (False, 2, ((0, 2), (2, 1), (2, 2)),
      "undirected edge (2, 1) not normalized as (i, j) with i < j"),
+    (True, 2, ((0, 5), ("x", 1)), "edge (0, 5) references a missing node"),
+    (True, 2, ((0, 2), (0, 1), (2, 1.5)), "edges must be sorted"),
+    (True, 2, ((0, 1), (0, 1, 2)), "edges must be (source, target) pairs"),
 ]
 
 
@@ -183,9 +186,9 @@ def test_edge_check_names_the_first_faulty_edge(directed, k, edges, message):
     assert str(exc.value) == message
 
 
-# graph_from_dict sorts the edges first, so only faults that survive
-# sorting reach the check; an endpoint that is not an integer sorts
-# without error and is named
+# graph_from_dict makes every edge a pair of ints, naming the first that
+# is not one, then sorts the pairs, so only faults that survive sorting
+# reach the constructor's check
 DICT_FAULTS = [
     (True, 2, [[0, 1], [-1, 2]], "edge (-1, 2) references a missing node"),
     (False, 2, [[0, 3]], "edge (0, 3) references a missing node"),
@@ -197,6 +200,9 @@ DICT_FAULTS = [
     (True, 1, [[0, 2], [1, 1], [0, 1]], "out-degree exceeds k=1"),
     (True, 2, [["0", 1], [0, 2]], "edge endpoint must be an integer, got '0'"),
     (True, 2, [[0, 1], [None, 2]], "edge endpoint must be an integer, got None"),
+    (True, 2, [[0]], "edges must be (source, target) pairs"),
+    (True, 2, [[0, 1, 2]], "edges must be (source, target) pairs"),
+    (True, 2, [5], "edges must be (source, target) pairs"),
 ]
 
 
@@ -210,11 +216,18 @@ def test_graph_from_dict_names_the_first_faulty_edge(directed, k, edges, message
 
 
 def reference_edge_fault(edges, n, k, directed):
-    """The per-edge check loop the vectorised check replaced: its message
-    for the first faulty edge, or None."""
+    """A scalar statement of the edge contract: the message for the first
+    faulty edge, or None. Each edge's endpoints must be plain ints (no
+    bools) before its other tests run; the strategies below draw no other
+    kind of integer."""
     prev = (-1, -1)
     out_deg = 0
     for e in edges:
+        if len(e) != 2:
+            return "edges must be (source, target) pairs"
+        for v in e:
+            if type(v) is not int:
+                return f"edge endpoint must be an integer, got {v!r}"
         a, b = e
         if not (0 <= a < n and 0 <= b < n):
             return f"edge {e} references a missing node"
@@ -232,7 +245,8 @@ def reference_edge_fault(edges, n, k, directed):
     return None
 
 
-endpoints = st.one_of(st.integers(-1, 4), st.sampled_from([BIG, -BIG, 2**63]))
+endpoints = st.one_of(st.integers(-1, 4),
+                      st.sampled_from([BIG, -BIG, 2**63, None, "0", 1.5, True]))
 
 
 @given(st.lists(st.tuples(endpoints, endpoints), max_size=8), st.integers(1, 3), st.booleans(),
@@ -240,7 +254,9 @@ endpoints = st.one_of(st.integers(-1, 4), st.sampled_from([BIG, -BIG, 2**63]))
 @settings(max_examples=400, deadline=None)
 def test_edge_check_agrees_with_the_per_edge_loop(edges, k, directed, presorted):
     ns = nset((0, 0), (1, 0), (0, 1), (1, 1))
-    edges = tuple(sorted(edges) if presorted else edges)
+    if presorted and all(type(v) is int for e in edges for v in e):
+        edges = sorted(edges)
+    edges = tuple(edges)
     want = reference_edge_fault(edges, len(ns), k, directed)
     if want is None:
         g = GeometricGraph("yao", k, directed, ns, edges)
@@ -433,7 +449,7 @@ def test_csv_requires_header():
         node_set_from_csv("a,0,0\n")
 
 
-@pytest.mark.parametrize("row", ["a,1", "a,1,y", "a,1,1e999"])
+@pytest.mark.parametrize("row", ["a,1", "a,1,y", "a,1,1e999", "a,1,1,1"])
 def test_csv_rejects_malformed_rows(row):
     with pytest.raises(ValueError, match="malformed CSV node row"):
         node_set_from_csv(f"id,x,y\nb,0,0\n{row}\n")
