@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -264,11 +265,11 @@ class RouteResult:
     best_neighbor_distance: float | None = None
 
 
-@dataclass(frozen=True)
-class VoidWitness:
+class VoidWitness(NamedTuple):
     """An ordered node pair (u, v) proving a graph is not void-free:
     no neighbor of u is strictly closer to v than u itself is.
-    min_neighbor_distance is +inf when u is isolated."""
+    min_neighbor_distance is +inf when u is isolated. A named tuple whose
+    fields are plain Python ints and floats."""
 
     u: int
     v: int

@@ -2,6 +2,7 @@
 geometry checks."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -523,6 +524,29 @@ def test_isolated_witness_serializes_inf_as_null():
     report = witness_report_dict(g, check_void_free(g))
     isolated = [w for w in report["witnesses"] if w["u"] == "w"]
     assert isolated and all(w["min_neighbor_d"] is None for w in isolated)
+
+
+@pytest.mark.parametrize("nodes", [
+    next(e for e in load_corpus() if e.name == "V0").nodes, random_nodeset(300, seed=0),
+], ids=["V0", "random300"])
+def test_witness_records_are_plain_named_tuples(nodes):
+    g = build(nodes, "yao", 2)
+    witnesses = check_void_free(g).witnesses
+    assert witnesses and witnesses == check_by_routing(g).witnesses
+    for w in witnesses:
+        assert type(w) is VoidWitness
+        assert [type(f) for f in w] == [int, int, float, float]
+    w = witnesses[0]
+    assert w == VoidWitness(*w) and hash(w) == hash(VoidWitness(*w))
+    copy = pickle.loads(pickle.dumps(w))
+    assert copy == w and type(copy) is VoidWitness
+    with pytest.raises(AttributeError):
+        w.u = 1
+
+
+def test_witness_repr():
+    assert repr(VoidWitness(0, 1, 0.5, math.inf)) == (
+        "VoidWitness(u=0, v=1, d_uv=0.5, min_neighbor_distance=inf)")
 
 
 # ---------------------------------------------------------------------------
