@@ -153,8 +153,7 @@ def _directed_graph(nodes: NodeSet, k: int, family: str) -> GeometricGraph:
     if k >= 3 and len(nodes) >= _GRID_CONE_NODES * k and nodes._grid is not None:
         keys = _grid_keys(nodes._grid, k, family)
     else:
-        x, y = nodes.coordinates()
-        keys = _build_directed(x, y, np.arange(len(x))[None], k, family)
+        keys = _build_directed(nodes.x, nodes.y, np.arange(len(nodes))[None], k, family)
     return GeometricGraph._from_keys(family, k, True, nodes, keys)
 
 

@@ -40,53 +40,71 @@ def _norm(dx, dy) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class NodeSet:
-    """Ordered collection of (id, point) pairs.
+    """Ordered (id, point) pairs, stored as the ids and read-only arrays x, y.
 
     Ids are unique, points are pairwise distinct, and there is at least
     one node. Node identity for tie-breaking and output ordering is the
-    insertion index.
+    insertion index. `points` and `nodes` are views built on first use.
     """
 
-    nodes: tuple[tuple[str, Point], ...]
+    ids: tuple[str, ...]
+    x: np.ndarray
+    y: np.ndarray
 
     def __init__(self, nodes):
-        object.__setattr__(self, "nodes", tuple((str(i), p) for i, p in nodes))
-        if len(self.nodes) < 1:
+        nodes = list(nodes)
+        if not nodes:
             raise ValueError("a node set needs at least one node")
-        ids = [i for i, _ in self.nodes]
+        ids = tuple(str(i) for i, _ in nodes)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
-        coords = {(p.x, p.y) for _, p in self.nodes}
-        if len(coords) != len(self.nodes):
+        xy = np.array([[p.x for _, p in nodes], [p.y for _, p in nodes]], float)
+        z = np.sort(xy.T.copy().view(complex).ravel())  # x + iy: equal points sort side by side
+        if (z[1:] == z[:-1]).any():
             raise ValueError("duplicate node coordinates")
+        x, y = np.frombuffer(xy.tobytes()).reshape(2, -1)  # read-only, as bytes are
+        self.__dict__.update(ids=ids, x=x, y=y)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ids == other.ids and bool(((self.x == other.x) & (self.y == other.y)).all())
+
+    def __hash__(self):
+        return hash(self.ids)
+
+    def __repr__(self):
+        return f"NodeSet(nodes={self.nodes!r})"
+
+    def __reduce__(self):
+        return NodeSet, (self.nodes,)
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(i for i, _ in self.nodes)
+        return len(self.ids)
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
-        return tuple(p for _, p in self.nodes)
+        return tuple(map(Point, self.x.tolist(), self.y.tolist()))
+
+    @cached_property
+    def nodes(self) -> tuple[tuple[str, Point], ...]:
+        return tuple(zip(self.ids, self.points))
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """The x and the y coordinates, as new float arrays. Not cached (that added 4 MiB
-        to the search's peak RSS); _grid keeps them for sets past a size gate, any k >= 3."""
-        return np.array([p.x for p in self.points]), np.array([p.y for p in self.points])
+        """The x and the y coordinates: the stored read-only arrays, not copies."""
+        return self.x, self.y
 
     @cached_property
     def _grid(self):
         """construct._grid over the nodes, built once for all builds and scans."""
         from .construct import _grid  # construct imports this module
-        return _grid(*self.coordinates())
+        return _grid(self.x, self.y)
 
     @cached_property
     def _index(self) -> dict[str, int]:
-        return {i: n for n, (i, _) in enumerate(self.nodes)}
+        return {i: n for n, i in enumerate(self.ids)}
 
     def index_of(self, node_id: str) -> int:
         try:
@@ -191,8 +209,7 @@ class GeometricGraph:
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:
-        x, y = self.nodes.coordinates()
-        return _distances(x, y, np.arange(len(x))[None])
+        return _distances(self.nodes.x, self.nodes.y, np.arange(len(self.nodes))[None])
 
     @cached_property
     def _dist_rows(self) -> list[list[float]]:
@@ -283,14 +300,9 @@ def graphs_equal(g1: GeometricGraph, g2: GeometricGraph) -> bool:
 
     Requires the same node set (same ids, equal coordinates).
     """
-    n1, n2 = g1.nodes, g2.nodes
-    same = n1.ids == n2.ids and all(
-        p.x == q.x and p.y == q.y for p, q in zip(n1.points, n2.points)
-    )
-    if not same:
+    if g1.nodes != g2.nodes:
         raise ValueError("graphs are over different node sets")
-    n = len(n1)
-    k1, k2 = (_symmetric_keys(g.keys, n) if g.directed else g.keys for g in (g1, g2))
+    k1, k2 = (_symmetric_keys(g.keys, len(g.nodes)) if g.directed else g.keys for g in (g1, g2))
     return np.array_equal(k1, k2)
 
 
@@ -324,13 +336,16 @@ def _distances(x, y, cols) -> np.ndarray:
 
 
 def node_set_to_dict(nodes: NodeSet) -> dict:
-    return {"nodes": [{"id": i, "x": p.x, "y": p.y} for i, p in nodes.nodes]}
+    return {"nodes": [{"id": i, "x": x, "y": y}
+                      for i, x, y in zip(nodes.ids, nodes.x.tolist(), nodes.y.tolist())]}
 
 
 def node_set_from_dict(data: dict) -> NodeSet:
-    """Inverse of node_set_to_dict; coordinates must be JSON numbers."""
+    """Inverse of node_set_to_dict: ids are JSON strings or integers, coordinates numbers."""
     try:
         nodes = [(e["id"], Point(e["x"], e["y"])) for e in data["nodes"]]
+        if bad := [i for i, _ in nodes if type(i) not in (str, int)]:  # a bool is no id
+            raise ValueError(f"node id must be a string or an integer, got {bad[0]!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed node-set data: {exc}") from exc
     return NodeSet(nodes)
@@ -348,8 +363,7 @@ def node_set_to_csv(nodes: NodeSet) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", "x", "y"])
-    for i, p in nodes.nodes:
-        writer.writerow([i, repr(p.x), repr(p.y)])
+    writer.writerows(zip(nodes.ids, map(repr, nodes.x.tolist()), map(repr, nodes.y.tolist())))
     return out.getvalue()
 
 

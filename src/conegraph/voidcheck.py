@@ -382,7 +382,6 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
     build_directed = build_directed_yao if family == YAO else build_directed_theta
     keys = build_directed(nodes, k).keys
     n = len(nodes)
-    x, y = nodes.coordinates()
     measure = "distance" if family == YAO else "projection"
     violations = []
     rows = max(1, _BLOCK_PAIRS // n)
@@ -390,8 +389,8 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
         r1 = min(r0 + rows, n)
         b = r1 - r0
         # dx, dy are v - u for source rows u and target columns v
-        dx = x - x[r0:r1, None]
-        dy = y - y[r0:r1, None]
+        dx = nodes.x - nodes.x[r0:r1, None]
+        dy = nodes.y - nodes.y[r0:r1, None]
         cone = _cones(dx, dy, k)
         # ranking the cone values makes (row, cone) a dense slot whatever k is
         vals, rank = np.unique(cone, return_inverse=True)
@@ -420,7 +419,7 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
             key = dx * bx[rank] + dy * by[rank]
             d_uv = _norm(dx, dy)
         selected = ~(key[src, w] <= key) & tested
-        farther = ~(_norm(x - x[w], y - y[w]) < d_uv) & tested
+        farther = ~(_norm(nodes.x - nodes.x[w], nodes.y - nodes.y[w]) < d_uv) & tested
         flagged = (selected | farther).nonzero()
         for r, v in zip(*(a.tolist() for a in flagged)):
             # the float cone of a k above 2**53 may round up past k; cone_of's clamp

@@ -58,6 +58,11 @@ def test_build_malformed_json_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "build", "--input", str(p), "--family", "yao", "--k", "2")
     assert code == 2
     assert "error:" in err
+    # an id that is neither a JSON string nor an integer is an input error too
+    p.write_text('{"nodes": [{"id": null, "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0}]}')
+    code, out, err = run(capsys, "build", "--input", str(p), "--family", "yao", "--k", "2")
+    assert (code, out) == (2, "")
+    assert "node id must be a string or an integer, got None" in err
 
 
 def test_unreadable_input_exits_2(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Tests for node sets, graphs, and serialization."""
 
+import copy
 import itertools
+import json
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conegraph.construct import build_directed_theta, build_directed_yao, undirect
+from conegraph.construct import build, build_directed_theta, build_directed_yao, undirect
 from conegraph.corpus import random_nodeset
 from conegraph.geometry import Point
 from conegraph.model import (
@@ -24,6 +28,12 @@ from conegraph.model import (
     node_set_from_json,
     node_set_to_csv,
     node_set_to_json,
+)
+from conegraph.voidcheck import (
+    check_by_routing,
+    check_theta_cone_relay,
+    check_void_free,
+    check_yao_cone_relay,
 )
 
 
@@ -92,6 +102,45 @@ def test_node_set_lookup():
     assert ns.point_of("v") == Point(1, 2)
     with pytest.raises(ValueError, match="unknown node id"):
         ns.index_of("w")
+
+
+def test_node_set_value_semantics():
+    # equal coordinates, -0.0 and 0.0 included, make equal sets that hash alike
+    neg, pos = NodeSet([("a", Point(-0.0, 1.0))]), NodeSet([("a", Point(0.0, 1.0))])
+    assert neg == pos and hash(neg) == hash(pos)
+    assert NodeSet([("b", Point(0.0, 1.0))]) != pos
+    assert NodeSet([("a", Point(0.0, 2.0))]) != pos
+    assert repr(neg) == "NodeSet(nodes=(('a', Point(x=-0.0, y=1.0)),))"
+    ns = random_nodeset(20, seed=7)
+    for copied in (pickle.loads(pickle.dumps(ns)), copy.deepcopy(ns)):
+        assert copied == ns and copied.ids == ns.ids
+        assert not copied.x.flags.writeable and not copied.y.flags.writeable
+
+
+def test_node_set_stores_read_only_coordinate_arrays():
+    ns = nset((0.5, 1.0), (2.0, -3.0))
+    assert ns.coordinates()[0] is ns.x and ns.coordinates()[1] is ns.y
+    assert ns.x.tolist() == [0.5, 2.0] and ns.y.tolist() == [1.0, -3.0]
+    with pytest.raises(ValueError, match="read-only"):
+        ns.x[0] = 7.0
+    with pytest.raises(ValueError):
+        ns.y.flags.writeable = True
+    with pytest.raises(AttributeError):
+        ns.x = np.zeros(2)
+    assert ns.points == (Point(0.5, 1.0), Point(2.0, -3.0))
+    assert ns.nodes == (("n0", Point(0.5, 1.0)), ("n1", Point(2.0, -3.0)))
+
+
+@pytest.mark.parametrize("n, k", [(30, 6), (1000, 6)])
+def test_hot_paths_build_no_point_view(n, k):
+    # 30 nodes take the shared row and the matrix scan; 1,000 at k = 6 the
+    # grid construction and the cell scan
+    ns = random_nodeset(n, seed=8)
+    g = build(ns, "yao", k)
+    assert check_void_free(g) == check_by_routing(g)
+    assert check_yao_cone_relay(ns, k) == check_theta_cone_relay(ns, k) == []
+    graph_to_json(g)
+    assert "points" not in ns.__dict__ and "nodes" not in ns.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +433,10 @@ def test_graphs_equal_rejects_different_node_sets():
     g2 = undirect(build_directed_yao(random_nodeset(5, seed=2), 3))
     with pytest.raises(ValueError, match="different node sets"):
         graphs_equal(g1, g2)
+    # the same ids at other coordinates
+    moved = NodeSet((i, Point(p.x, p.y + 1)) for i, p in g1.nodes.nodes)
+    with pytest.raises(ValueError, match="different node sets"):
+        graphs_equal(g1, undirect(build_directed_yao(moved, 3)))
 
 
 def test_graphs_equal_undirects_directed_graphs():
@@ -463,6 +516,15 @@ def test_node_set_json_rejects_garbage():
     # a JSON integer beyond the double range
     with pytest.raises(ValueError, match="malformed node-set data"):
         node_set_from_json('{"nodes": [{"id": "a", "x": 1%s, "y": 0}]}' % ("0" * 400))
+
+
+@pytest.mark.parametrize("node_id", ["null", "true", "[1]", '{"a": 1}', "1.5"])
+def test_node_set_json_ids_must_be_strings_or_integers(node_id):
+    text = '{"nodes": [{"id": %s, "x": 0, "y": 0}]}'
+    message = f"node id must be a string or an integer, got {json.loads(node_id)!r}"
+    with pytest.raises(ValueError, match=re.escape(f"malformed node-set data: {message}")):
+        node_set_from_json(text % node_id)
+    assert node_set_from_json(text % "7").ids == ("7",)
 
 
 @pytest.mark.parametrize("x", ["true", '" 2e0 "', '"1_000"', "null", "[1]"])
