@@ -78,8 +78,8 @@ class NodeSet:
     def __repr__(self):
         return f"NodeSet(nodes={self.nodes!r})"
 
-    def __reduce__(self):
-        return NodeSet, (self.nodes,)
+    def __reduce__(self):  # rebuilt from the fields alone, building no view on self
+        return NodeSet, (tuple(zip(self.ids, map(Point, self.x.tolist(), self.y.tolist()))),)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -128,9 +128,9 @@ class GeometricGraph:
     (_from_keys). They are stored as `keys`, one sorted read-only intp
     array of flat keys u*n + v: one per directed edge, or
     both directions of every undirected edge, so the keys are the graph's
-    CSR adjacency (`csr`), which `neighbors` reads. Equality and
-    hashing compare the fields; `warning` and the view `edges` are
-    derived, the view on first use only.
+    CSR adjacency (`csr`), which `neighbors` reads. Equality, hashing,
+    copies and pickles take the fields only; `warning` and the view `edges`
+    are derived, the view on first use only.
     """
 
     family: str
@@ -159,6 +159,9 @@ class GeometricGraph:
         g.__dict__.update(family=family, k=k, directed=directed, nodes=nodes,
                           _key_bytes=keys.tobytes())
         return g
+
+    def __reduce__(self):
+        return self._from_keys, (self.family, self.k, self.directed, self.nodes, self.keys)
 
     def __repr__(self):
         return (f"GeometricGraph(family={self.family!r}, k={self.k!r}, "
@@ -219,7 +222,8 @@ class GeometricGraph:
         return self.dist_matrix.tolist()
 
     def dist(self, u: int, v: int) -> float:
-        return distance(*(self.nodes.points[self._check_node(i)] for i in (u, v)))
+        x, y = self.nodes.x, self.nodes.y
+        return distance(*(Point(x.item(i), y.item(i)) for i in map(self._check_node, (u, v))))
 
     def _check_node(self, u) -> int:
         """u as a plain int, if it is an integer (see _as_int) naming a node."""
@@ -426,5 +430,5 @@ def graph_from_json(text: str) -> GeometricGraph:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ValueError(f"invalid JSON: {exc}") from exc

@@ -8,22 +8,19 @@ always renders to byte-identical SVG.
 
 import math
 
-from .model import GeometricGraph, distance
+from .model import GeometricGraph
 
 
 def render_svg(g: GeometricGraph, highlight_pair: tuple[int, int] | None = None) -> str:
     """SVG document for a graph; highlight_pair is a pair of node indices.
     A number the figure needs beyond the double range raises ValueError."""
-    pts = g.nodes.points
-
     # SVG's y-axis points down; flip so north stays up in the image.
-    xs = [p.x for p in pts]
-    ys = [-p.y for p in pts]
+    xs, ys = g.nodes.x.tolist(), (-g.nodes.y).tolist()
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     if highlight_pair is not None:
         u, v = map(g._check_node, highlight_pair)
-        r = distance(pts[u], pts[v])
+        r = g.dist(u, v)
         min_x = min(min_x, xs[v] - r)
         max_x = max(max_x, xs[v] + r)
         min_y = min(min_y, ys[v] - r)

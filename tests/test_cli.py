@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -63,6 +64,16 @@ def test_build_malformed_json_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "build", "--input", str(p), "--family", "yao", "--k", "2")
     assert (code, out) == (2, "")
     assert "node id must be a string or an integer, got None" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no integer digit limit")
+def test_check_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    p = tmp_path / "long.json"
+    p.write_text('{"nodes": [{"id": "a", "x": %s, "y": 0}]}' % ("1" * 5001))
+    code, out, err = run(capsys, "check", "--input", str(p), "--family", "yao", "--k", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit")
 
 
 def test_unreadable_input_exits_2(tmp_path, capsys):

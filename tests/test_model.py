@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from conegraph.model import (
     node_set_to_csv,
     node_set_to_json,
 )
+from conegraph.render import render_svg
 from conegraph.voidcheck import (
     check_by_routing,
     check_theta_cone_relay,
@@ -115,6 +117,7 @@ def test_node_set_value_semantics():
     for copied in (pickle.loads(pickle.dumps(ns)), copy.deepcopy(ns)):
         assert copied == ns and copied.ids == ns.ids
         assert not copied.x.flags.writeable and not copied.y.flags.writeable
+    assert set(ns.__dict__) == {"ids", "x", "y"}  # copying built no view
 
 
 def test_node_set_stores_read_only_coordinate_arrays():
@@ -140,6 +143,8 @@ def test_hot_paths_build_no_point_view(n, k):
     assert check_void_free(g) == check_by_routing(g)
     assert check_yao_cone_relay(ns, k) == check_theta_cone_relay(ns, k) == []
     graph_to_json(g)
+    render_svg(g, highlight_pair=(0, 1))
+    g.dist(0, 1)
     assert "points" not in ns.__dict__ and "nodes" not in ns.__dict__
 
 
@@ -190,6 +195,22 @@ def test_graph_rejects_out_degree_above_k():
     ns = nset((0, 0), (1, 0), (0, 1))
     with pytest.raises(ValueError, match="out-degree"):
         GeometricGraph("yao", 1, True, ns, ((0, 1), (0, 2)))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_graph_copies_and_pickles_are_their_fields(directed):
+    ns = random_nodeset(30, seed=9)
+    g = build(ns, "yao", 6, directed=directed)
+    g.keys, g.csr, g.edges, g.dist_matrix
+    if not directed:  # the scan is defined on the undirected graph
+        check_void_free(g)
+    fresh = build(random_nodeset(30, seed=9), "yao", 6, directed=directed)
+    assert len(pickle.dumps(g)) == len(pickle.dumps(fresh))
+    for c in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert set(c.__dict__) == {"family", "k", "directed", "nodes", "_key_bytes"}
+        assert c == g and hash(c) == hash(g)
+        with pytest.raises(ValueError, match="read-only"):
+            c.keys[0] = 0
 
 
 BIG = 10**30  # beyond intp: numpy would make an object array of it
@@ -516,6 +537,18 @@ def test_node_set_json_rejects_garbage():
     # a JSON integer beyond the double range
     with pytest.raises(ValueError, match="malformed node-set data"):
         node_set_from_json('{"nodes": [{"id": "a", "x": 1%s, "y": 0}]}' % ("0" * 400))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no integer digit limit")
+def test_json_integers_past_the_digit_limit_are_invalid_json():
+    # json.loads raises a plain ValueError, not JSONDecodeError, for these
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValueError, match="^invalid JSON: Exceeds the limit"):
+        node_set_from_json('{"nodes": [{"id": "a", "x": %s, "y": 0}]}' % digits)
+    text = graph_to_json(build(nset((0, 0), (1, 0)), "yao", 6))
+    with pytest.raises(ValueError, match="^invalid JSON: Exceeds the limit"):
+        graph_from_json(text.replace("[\n      0,", "[\n      %s," % digits, 1))
 
 
 @pytest.mark.parametrize("node_id", ["null", "true", "[1]", '{"a": 1}', "1.5"])

@@ -1,5 +1,6 @@
 """Tests for SVG rendering."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -51,6 +52,15 @@ def test_render_one_line_per_edge():
     g = build(random_nodeset(15, seed=4), "theta", 6)
     root = ET.fromstring(render_svg(g))
     assert len(list(root.iter(f"{SVG_NS}line"))) == len(g.edges)
+
+
+def test_render_bytes_are_pinned():
+    # the SHA-256 of two figures: the SVG bytes of a graph must not change
+    assert hashlib.sha256(render_v2(highlight=True).encode()).hexdigest() == (
+        "ec3063650ab5933b324adf60d742f00ff6ea3c0936352cfa0f1b40c65f0859b9")
+    g = build(random_nodeset(300, seed=5), "theta", 6, directed=True)
+    assert hashlib.sha256(render_svg(g).encode()).hexdigest() == (
+        "63042889ce85304daf6995e8b5455e635ac4d9bcf839c9c0b221d898f1eb38d9")
 
 
 def test_render_deterministic():
