@@ -28,10 +28,6 @@ from .routing import greedy_route
 from .voidcheck import check_void_free, witness_report_dict
 
 
-class CliError(Exception):
-    pass
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -40,7 +36,7 @@ def main(argv=None) -> int:
         # or SVG output then rejects as an input error
         with np.errstate(over="ignore"):
             return args.handler(args)
-    except (CliError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
@@ -151,7 +147,7 @@ def _cmd_render(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
+        raise OSError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
@@ -164,17 +160,15 @@ def _build_graph(args, directed: bool = False):
 
 
 def _read_nodes(args):
-    if args.input == "-":
-        text = sys.stdin.read()
+    if args.input == "-":  # a leading byte-order mark, which spreadsheets write, is dropped
+        text = sys.stdin.read().removeprefix("\ufeff")
     else:
         try:
-            with open(args.input, "r", encoding="utf-8") as fh:
+            with open(args.input, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise CliError(f"cannot read {args.input}: {exc}") from exc
-    if args.format == "csv":
-        return node_set_from_csv(text)
-    return node_set_from_json(text)
+            raise OSError(f"cannot read {args.input}: {exc}") from exc
+    return (node_set_from_csv if args.format == "csv" else node_set_from_json)(text)
 
 
 if __name__ == "__main__":

@@ -44,9 +44,10 @@ def _norm(dx, dy) -> np.ndarray:
 class NodeSet:
     """Ordered (id, point) pairs, stored as the ids and read-only arrays x, y.
 
-    Ids are unique, points are pairwise distinct, and there is at least
-    one node. Node identity for tie-breaking and output ordering is the
-    insertion index. `points` and `nodes` are views built on first use.
+    Entries are (id, Point) pairs, ids are unique, points pairwise distinct,
+    and there is at least one node; the parsers leave these set-level faults
+    to this constructor. Node identity for tie-breaking and output ordering
+    is the insertion index. `points` and `nodes` are views built on first use.
     """
 
     ids: tuple[str, ...]
@@ -57,6 +58,9 @@ class NodeSet:
         nodes = list(nodes)
         if not nodes:
             raise ValueError("a node set needs at least one node")
+        for n, e in enumerate(nodes):  # a Point is finite, so no coordinate below is NaN
+            if not (isinstance(e, tuple) and len(e) == 2 and type(e[1]) is Point):
+                raise ValueError(f"node set entry {n} is not an (id, Point) pair: {e!r}")
         ids = tuple(str(i) for i, _ in nodes)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
@@ -344,12 +348,18 @@ def node_set_to_dict(nodes: NodeSet) -> dict:
                       for i, x, y in zip(nodes.ids, nodes.x.tolist(), nodes.y.tolist())]}
 
 
+def _node(node_id, x, y) -> tuple:
+    """One parsed node, after its caller's keys or fields: its id, a string or
+    an integer (no bool), then its Point. Parsers call it in entry order."""
+    if type(node_id) not in (str, int):
+        raise ValueError(f"node id must be a string or an integer, got {node_id!r}")
+    return node_id, Point(x, y)
+
+
 def node_set_from_dict(data: dict) -> NodeSet:
-    """Inverse of node_set_to_dict: ids are JSON strings or integers, coordinates numbers."""
+    """Inverse of node_set_to_dict, naming the first faulty entry (see _node)."""
     try:
-        nodes = [(e["id"], Point(e["x"], e["y"])) for e in data["nodes"]]
-        if bad := [i for i, _ in nodes if type(i) not in (str, int)]:  # a bool is no id
-            raise ValueError(f"node id must be a string or an integer, got {bad[0]!r}")
+        nodes = [_node(e["id"], e["x"], e["y"]) for e in data["nodes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed node-set data: {exc}") from exc
     return NodeSet(nodes)
@@ -372,19 +382,20 @@ def node_set_to_csv(nodes: NodeSet) -> str:
 
 
 def node_set_from_csv(text: str) -> NodeSet:
-    """Inverse of node_set_to_csv: the header 'id,x,y', then one row of
-    exactly those three fields per node; blank lines are skipped."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    """Inverse of node_set_to_csv, naming the first faulty row (see _node): the
+    header 'id,x,y', then rows of exactly three fields; blank lines are skipped."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows or [c.strip() for c in rows[0]] != ["id", "x", "y"]:
         raise ValueError("CSV node sets need the header 'id,x,y'")
+    nodes = []
     for row in rows[1:]:
-        if len(row) != 3:
-            raise ValueError(f"malformed CSV node row: {row} has {len(row)} fields, not 3")
-    try:
-        return NodeSet((i, Point(float(x), float(y))) for i, x, y in rows[1:])
-    except ValueError as exc:
-        raise ValueError(f"malformed CSV node row: {exc}") from exc
+        try:
+            if len(row) != 3:
+                raise ValueError(f"{len(row)} fields, not 3")
+            nodes.append(_node(row[0], float(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise ValueError(f"malformed CSV node row {row}: {exc}") from exc
+    return NodeSet(nodes)
 
 
 def graph_to_dict(g: GeometricGraph) -> dict:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import io
 import json
 import sys
 
@@ -81,7 +82,48 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--input", str(missing), "--family", "yao", "--k", "6")
     assert code == 2
     assert out == ""
-    assert f"error: cannot read {missing}" in err
+    assert err == (f"error: cannot read {missing}: "
+                   f"[Errno 2] No such file or directory: {str(missing)!r}\n")
+
+
+# each parser names the first faulty entry; set-level faults read the same
+# for both formats
+INPUT_FAULTS = [
+    ("csv", "id,x,y\na,0,0\na,1,1\n", "duplicate node ids"),
+    ("csv", "id,x,y\n", "a node set needs at least one node"),
+    ("csv", "id,x,y\nb,zz,0\na,0\n",
+     "malformed CSV node row ['b', 'zz', '0']: could not convert string to float: 'zz'"),
+    ("csv", "id,x,y\na,0,0\nb,inf,0\n",
+     "malformed CSV node row ['b', 'inf', '0']: non-finite coordinates: (inf, 0.0)"),
+    ("json", '{"nodes": [{"id": null, "x": 0, "y": 0}, {"id": "b", "x": "s", "y": 0}]}',
+     "malformed node-set data: node id must be a string or an integer, got None"),
+    ("json", '{"nodes": [{"id": "a", "x": Infinity, "y": 0}]}',
+     "malformed node-set data: non-finite coordinates: (inf, 0.0)"),
+    ("json", '{"nodes": []}', "a node set needs at least one node"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, message", INPUT_FAULTS)
+def test_input_faults_exit_2_with_one_error_line(tmp_path, capsys, fmt, text, message):
+    p = tmp_path / f"bad.{fmt}"
+    p.write_text(text)
+    code, out, err = run(capsys, "check", "--input", str(p), "--format", fmt,
+                         "--family", "yao", "--k", "6")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch, fmt):
+    text = (node_set_to_csv if fmt == "csv" else node_set_to_json)(random_nodeset(12, seed=5))
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    argv = ("build", "--format", fmt, "--family", "yao", "--k", "6")
+    code, want, _ = run(capsys, *argv, "--input", str(plain))
+    assert code == 0 and len(json.loads(want)["nodes"]) == 12
+    assert run(capsys, *argv, "--input", str(marked)) == (0, want, "")
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+    assert run(capsys, *argv) == (0, want, "")
 
 
 def test_build_duplicate_coordinates_exits_2(tmp_path, capsys):
@@ -97,8 +139,6 @@ def test_build_duplicate_coordinates_exits_2(tmp_path, capsys):
 def test_build_reads_csv_and_stdin(tmp_path, capsys, monkeypatch):
     ns = random_nodeset(8, seed=3)
     csv_text = node_set_to_csv(ns)
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(csv_text))
     code, out, _ = run(capsys, "build", "--format", "csv", "--family", "yao", "--k", "4")
     assert code == 0
@@ -327,12 +367,15 @@ def test_render_writes_svg_with_highlight(corpus_files, tmp_path, capsys):
 
 
 def test_render_unwritable_output_exits_2(corpus_files, tmp_path, capsys):
-    code, _, err = run(
+    out_path = tmp_path / "missing-dir" / "x.svg"
+    code, out, err = run(
         capsys, "render", "--input", corpus_files["V2"], "--family", "yao", "--k", "5",
-        "--out", str(tmp_path / "missing-dir" / "x.svg"),
+        "--out", str(out_path),
     )
-    assert code == 2
-    assert "cannot write" in err
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot write {out_path}: "
+                   f"[Errno 2] No such file or directory: {str(out_path)!r}\n")
+    assert not out_path.parent.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Tests for node sets, graphs, and serialization."""
 
 import copy
+import csv
+import io
 import itertools
 import json
 import math
 import pickle
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,6 +99,26 @@ def test_node_set_rejects_duplicate_ids():
 def test_node_set_rejects_duplicate_coordinates():
     with pytest.raises(ValueError, match="duplicate node coordinates"):
         NodeSet([("a", Point(2, 3)), ("b", Point(2, 3))])
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([("a", (0.0, 1.0))], "node set entry 0 is not an (id, Point) pair: ('a', (0.0, 1.0))"),
+    ([("a", Point(0, 0)), ("b", SimpleNamespace(x=math.inf, y=0.0))],
+     "node set entry 1 is not an (id, Point) pair: ('b', namespace(x=inf, y=0.0))"),
+    ([("a", SimpleNamespace(x=math.nan, y=0.0)), ("b", SimpleNamespace(x=math.nan, y=0.0))],
+     "node set entry 0 is not an (id, Point) pair: ('a', namespace(x=nan, y=0.0))"),
+    ([("a", Point(0, 0)), ("b",)], "node set entry 1 is not an (id, Point) pair: ('b',)"),
+    ([("a", Point(0, 0), "z")],
+     "node set entry 0 is not an (id, Point) pair: ('a', Point(x=0.0, y=0.0), 'z')"),
+    ([7], "node set entry 0 is not an (id, Point) pair: 7"),
+    # the entry check runs before the id and coordinate checks
+    ([("a", Point(0, 0)), ("a", Point(0, 0)), ("c", None)],
+     "node set entry 2 is not an (id, Point) pair: ('c', None)"),
+])
+def test_node_set_takes_only_id_point_pairs(entries, message):
+    with pytest.raises(ValueError) as exc:
+        NodeSet(entries)
+    assert str(exc.value) == message
 
 
 def test_node_set_lookup():
@@ -566,6 +589,126 @@ def test_node_set_json_coordinates_must_be_numbers(x):
         node_set_from_json('{"nodes": [{"id": "a", "x": %s, "y": 0}]}' % x)
     with pytest.raises(ValueError, match="malformed node-set data"):
         node_set_from_json('{"nodes": [{"id": "a", "x": 0, "y": %s}]}' % x)
+
+
+# The parsers check each entry in order, its keys or fields, then its id,
+# then its coordinates, and name the first faulty one; NodeSet alone raises
+# the set-level faults, with the same message for JSON and CSV
+SET_FAULTS = [
+    ([], "a node set needs at least one node"),
+    ([("a", 0, 0), ("a", 1, 1)], "duplicate node ids"),
+    ([("a", 0, 0), ("b", -0.0, 0)], "duplicate node coordinates"),
+]
+
+
+@pytest.mark.parametrize("rows, message", SET_FAULTS)
+def test_set_level_faults_are_unprefixed_in_both_formats(rows, message):
+    csv_text = "id,x,y\n" + "".join(f"{i},{x},{y}\n" for i, x, y in rows)
+    json_text = json.dumps({"nodes": [{"id": i, "x": x, "y": y} for i, x, y in rows]})
+    for parse, text in ((node_set_from_csv, csv_text), (node_set_from_json, json_text)):
+        with pytest.raises(ValueError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
+def reference_set_fault(nodes):
+    """The set-level message for (id, (x, y)) pairs that passed their
+    entry checks, or None."""
+    if not nodes:
+        return "a node set needs at least one node"
+    if len({i for i, _ in nodes}) != len(nodes):
+        return "duplicate node ids"
+    if len({p for _, p in nodes}) != len(nodes):  # -0.0 == 0.0, as in NodeSet
+        return "duplicate node coordinates"
+    return None
+
+
+def reference_json_fault(entries):
+    """A scalar statement of the JSON node-set contract: the message for
+    the first faulty entry, else the set-level message, else None. Within
+    an entry: its keys, then its id, then x and y in turn."""
+    for e in entries:
+        for key in ("id", "x", "y"):
+            if key not in e:
+                return f"malformed node-set data: {key!r}"
+        if type(e["id"]) not in (str, int):
+            return ("malformed node-set data: "
+                    f"node id must be a string or an integer, got {e['id']!r}")
+        for name in ("x", "y"):
+            v = e[name]
+            if type(v) not in (int, float):
+                return f"malformed node-set data: coordinates must be real numbers, got {v!r}"
+            if type(v) is int and abs(v) > 10**308:
+                return f"malformed node-set data: {name} coordinate is beyond the double range"
+        x, y = float(e["x"]), float(e["y"])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return f"malformed node-set data: non-finite coordinates: ({x}, {y})"
+    return reference_set_fault([(str(e["id"]), (float(e["x"]), float(e["y"]))) for e in entries])
+
+
+# CSV coordinate fields and the double each parses to; None where it is no number
+CSV_FIELDS = {"0": 0.0, "1.5": 1.5, "-2": -2.0, " 2 ": 2.0, "-0": -0.0, "1e999": math.inf,
+              "inf": math.inf, "nan": math.nan, "zz": None, "": None}
+
+
+def reference_csv_fault(rows):
+    """The same contract for CSV rows of text fields: the first faulty row's
+    message, naming the row, else the set-level message, else None. Within
+    a row: its field count, then x and y in turn (a CSV id is always text)."""
+    for row in rows:
+        fault = f"malformed CSV node row {row}: "
+        if len(row) != 3:
+            return fault + f"{len(row)} fields, not 3"
+        for field in row[1:]:
+            if CSV_FIELDS[field] is None:
+                return fault + f"could not convert string to float: {field!r}"
+        x, y = CSV_FIELDS[row[1]], CSV_FIELDS[row[2]]
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return fault + f"non-finite coordinates: ({x}, {y})"
+    return reference_set_fault([(i, (CSV_FIELDS[x], CSV_FIELDS[y])) for i, x, y in rows])
+
+
+# most draws are good, so that faults come late and sets are often whole
+good_ids = st.sampled_from(["a", "b", "c", "d"])
+json_ids = st.one_of(*[good_ids] * 4, st.integers(0, 3), st.sampled_from([None, True, 1.5, [1]]))
+good_coords = st.one_of(st.sampled_from([0.0, 1.0, -0.0]), st.integers(-1, 1))
+json_coords = st.one_of(*[good_coords] * 4,
+                        st.sampled_from([math.inf, -math.inf, math.nan, 10**400, "s", None,
+                                         False, [1]]))
+json_entries = st.builds(
+    lambda i, x, y, drop: {k: v for k, v in (("id", i), ("x", x), ("y", y)) if k != drop},
+    json_ids, json_coords, json_coords, st.sampled_from([None] * 12 + ["id", "x", "y"]))
+finite_fields = [f for f, v in CSV_FIELDS.items() if v is not None and math.isfinite(v)]
+csv_fields = st.sampled_from(finite_fields * 3 + list(CSV_FIELDS))
+csv_rows = st.builds(lambda i, x, y, width: [i, x, y, "0"][:width],
+                     good_ids, csv_fields, csv_fields, st.sampled_from([3] * 10 + [2, 4]))
+
+
+@given(st.lists(json_entries, max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_json_node_faults_agree_with_the_per_entry_loop(entries):
+    text = json.dumps({"nodes": entries})
+    want = reference_json_fault(entries)
+    if want is None:
+        assert node_set_from_json(text).ids == tuple(str(e["id"]) for e in entries)
+    else:
+        with pytest.raises(ValueError) as exc:
+            node_set_from_json(text)
+        assert str(exc.value) == want
+
+
+@given(st.lists(csv_rows, max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_csv_node_faults_agree_with_the_per_row_loop(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([["id", "x", "y"], *rows])
+    want = reference_csv_fault(rows)
+    if want is None:
+        assert node_set_from_csv(out.getvalue()).ids == tuple(row[0] for row in rows)
+    else:
+        with pytest.raises(ValueError) as exc:
+            node_set_from_csv(out.getvalue())
+        assert str(exc.value) == want
 
 
 def test_graph_json_round_trip():
