@@ -14,15 +14,10 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
-from .construct import _BLOCK_PAIRS, _build_directed, build
+from .construct import _BLOCK_PAIRS, build
 from .geometry import TAU, Point, _as_int, clockwise_angle_from_north, cone_of
-from .model import (
-    THETA, YAO, FAMILIES, NodeSet, _csr, _distances, _symmetric_keys, distance, graphs_equal,
-    node_set_from_json,
-)
-from .voidcheck import _void_witnesses, check_void_free, has_void
+from .model import THETA, YAO, FAMILIES, NodeSet, distance, graphs_equal, node_set_from_json
+from .voidcheck import _first_void, check_void_free, has_void
 
 # Angular slack for V2's near-boundary placement: v sits inside c(u,1)
 # within this many radians of the cone's trailing ray.
@@ -206,26 +201,6 @@ def _integer(value, name: str) -> int:
     if i is None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return i
-
-
-def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:
-    """Index of the first drawn node set in batch, given by its flat
-    coordinates, whose family-k graph has a void, or None, from one pass of
-    the construction kernel and one of the pair scan over the whole batch.
-    Each node's candidates are its set's nodes, padded to the largest set's
-    size by repeating the set's last node, which changes no pick or minimum."""
-    sizes = [len(coords) // 2 for coords in batch]
-    ends = np.cumsum(sizes)
-    cols = np.minimum((ends - sizes)[:, None] + np.arange(max(sizes)), ends[:, None] - 1)
-    cols = cols.repeat(sizes, axis=0)
-    xy = np.fromiter(chain.from_iterable(batch), float)
-    x, y = xy[0::2], xy[1::2]
-    keys = _symmetric_keys(_build_directed(x, y, cols, k, family, np.arange(len(x)))[0], len(x))
-    block = next(_void_witnesses(_distances(x, y, cols), cols, *_csr(keys, len(x))), None)
-    if block is None:
-        return None
-    u = block[0][0]  # the first witness is in the first set with a void
-    return int(ends.searchsorted(u, side="right"))
 
 
 def _sample_points(rng: random.Random, n: int) -> list[float]:

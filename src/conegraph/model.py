@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Point, _as_int, _check_k
+from .geometry import Point, _as_int, _check_k, _grid
 
 YAO = "yao"
 THETA = "theta"
@@ -102,8 +102,7 @@ class NodeSet:
 
     @cached_property
     def _grid(self):
-        """construct._grid over the nodes, built once for all builds and scans."""
-        from .construct import _grid  # construct imports this module
+        """geometry._grid over the nodes, built once for all builds and scans."""
         return _grid(self.x, self.y)
 
     @cached_property
@@ -358,10 +357,13 @@ def _node(node_id, x, y) -> tuple:
 
 def node_set_from_dict(data: dict) -> NodeSet:
     """Inverse of node_set_to_dict, naming the first faulty entry (see _node)."""
+    nodes, n = [], None
     try:
-        nodes = [_node(e["id"], e["x"], e["y"]) for e in data["nodes"]]
+        for n, e in enumerate(data["nodes"]):
+            nodes.append(_node(e["id"], e["x"], e["y"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed node-set data: {exc}") from exc
+        entry = "" if n is None else f"entry {n}: "
+        raise ValueError(f"malformed node-set data: {entry}{exc}") from exc
     return NodeSet(nodes)
 
 
@@ -392,10 +394,17 @@ def node_set_from_csv(text: str) -> NodeSet:
         try:
             if len(row) != 3:
                 raise ValueError(f"{len(row)} fields, not 3")
-            nodes.append(_node(row[0], float(row[1]), float(row[2])))
+            nodes.append(_node(row[0], _csv_float(row[1]), _csv_float(row[2])))
         except ValueError as exc:
             raise ValueError(f"malformed CSV node row {row}: {exc}") from exc
     return NodeSet(nodes)
+
+
+def _csv_float(field: str) -> float:
+    """float(field) of ASCII text without digit-group underscores, else float's fault."""
+    if field.isascii() and "_" not in field:
+        return float(field)
+    raise ValueError(f"could not convert string to float: {field!r}")
 
 
 def graph_to_dict(g: GeometricGraph) -> dict:

@@ -40,12 +40,12 @@ import numpy as np
 
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
-from .geometry import _bisectors, _check_k, _cones, cone_of  # noqa: F401
-from .model import THETA, YAO, GeometricGraph, NodeSet, VoidWitness, _norm
+from .geometry import (
+    _DELTA, _EPS, _KEY_MIN, _bisectors, _check_k, _cones, _ranges, cone_of)  # noqa: F401
+from .model import (
+    THETA, YAO, GeometricGraph, NodeSet, VoidWitness, _csr, _distances, _norm, _symmetric_keys)
 from .construct import (
-    _BLOCK_PAIRS, _DELTA, _EPS, _KEY_MIN, _own_slots, _ranges,
-    build_directed_theta, build_directed_yao,
-)
+    _BLOCK_PAIRS, _build_directed, _own_slots, build_directed_theta, build_directed_yao)
 # greedy_route is not called here; the benchmark harness wraps it through
 # this module's namespace, and `perfbench/run.py --trace 1` fails without it
 from .routing import greedy_route  # noqa: F401
@@ -114,7 +114,7 @@ def has_void(g: GeometricGraph) -> bool:
 
     Runs the same scan and stops after the first block of source rows
     that holds a witness. The counterexample search calls it on its first
-    trial; its batches scan through corpus._first_void.
+    trial; its batches scan through _first_void.
     """
     return next(_scan(g), None) is not None
 
@@ -168,6 +168,26 @@ def _void_witnesses(dist, cols, indptr, indices):
             r, j = mask.nonzero()
             u = r + r0
             yield u, cols[u if len(cols) > 1 else 0, j], d[mask], best[mask]
+
+
+def _first_void(batch: list[list[float]], family: str, k: int) -> int | None:
+    """Index of the first drawn node set in batch, given by its flat
+    coordinates, whose family-k graph has a void, or None, from one pass of
+    the construction kernel and one of the pair scan over the whole batch.
+    Each node's candidates are its set's nodes, padded to the largest set's
+    size by repeating the set's last node, which changes no pick or minimum."""
+    sizes = [len(coords) // 2 for coords in batch]
+    ends = np.cumsum(sizes)
+    cols = np.minimum((ends - sizes)[:, None] + np.arange(max(sizes)), ends[:, None] - 1)
+    cols = cols.repeat(sizes, axis=0)
+    xy = np.fromiter(chain.from_iterable(batch), float)
+    x, y = xy[0::2], xy[1::2]
+    keys = _symmetric_keys(_build_directed(x, y, cols, k, family, np.arange(len(x)))[0], len(x))
+    block = next(_void_witnesses(_distances(x, y, cols), cols, *_csr(keys, len(x))), None)
+    if block is None:
+        return None
+    u = block[0][0]  # the first witness is in the first set with a void
+    return int(ends.searchsorted(u, side="right"))
 
 
 def _cell_witnesses(grid, indptr, indices):

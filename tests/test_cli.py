@@ -96,10 +96,14 @@ INPUT_FAULTS = [
     ("csv", "id,x,y\na,0,0\nb,inf,0\n",
      "malformed CSV node row ['b', 'inf', '0']: non-finite coordinates: (inf, 0.0)"),
     ("json", '{"nodes": [{"id": null, "x": 0, "y": 0}, {"id": "b", "x": "s", "y": 0}]}',
-     "malformed node-set data: node id must be a string or an integer, got None"),
+     "malformed node-set data: entry 0: node id must be a string or an integer, got None"),
     ("json", '{"nodes": [{"id": "a", "x": Infinity, "y": 0}]}',
-     "malformed node-set data: non-finite coordinates: (inf, 0.0)"),
+     "malformed node-set data: entry 0: non-finite coordinates: (inf, 0.0)"),
     ("json", '{"nodes": []}', "a node set needs at least one node"),
+    ("json", '{"nodes": [{"id": "a", "x": 0, "y": 0}, {"id": "b", "y": 0}]}',
+     "malformed node-set data: entry 1: 'x'"),
+    ("csv", "id,x,y\na,0,0\nb,1_000,0\n",
+     "malformed CSV node row ['b', '1_000', '0']: could not convert string to float: '1_000'"),
 ]
 
 

@@ -11,19 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conegraph import construct
+from conegraph import construct, geometry
 from conegraph.construct import (
     _BLOCK_PAIRS,
-    _EPS,
     _build_directed,
-    _grid,
     build,
     build_directed_theta,
     build_directed_yao,
     undirect,
 )
 from conegraph.corpus import random_nodeset
-from conegraph.geometry import Point, _cones, bisector_projection, cone_of
+from conegraph.geometry import _EPS, Point, _cones, _grid, bisector_projection, cone_of
 from conegraph.model import GeometricGraph, NodeSet, distance, graph_to_json, graphs_equal
 from conegraph.voidcheck import check_theta_cone_relay, check_yao_cone_relay
 
@@ -332,14 +330,14 @@ def test_kernel_memory_does_not_grow_with_k(family, monkeypatch):
     # nor does the grid path's: at its size gate every table row holds 6k
     # candidates or more, so the certificate's (rows, k) arrays hold at most
     # a sixth of a table's entries, or one row
-    k, sizes, cone_gaps = 40, [], construct._Grid.cone_gaps
+    k, sizes, cone_gaps = 40, [], geometry._Grid.cone_gaps
 
     def recorded(grid, rows, r, k):
         gap = cone_gaps(grid, rows, r, k)
         sizes.append(gap.size)
         return gap
 
-    monkeypatch.setattr(construct._Grid, "cone_gaps", recorded)
+    monkeypatch.setattr(geometry._Grid, "cone_gaps", recorded)
     big = random_nodeset(construct._GRID_CONE_NODES * k, seed=44)
     x, y = big.coordinates()
     builder = build_directed_yao if family == "yao" else build_directed_theta
@@ -711,10 +709,10 @@ def test_grid_work_stays_near_linear_on_an_outlier_and_a_wide_box(monkeypatch):
     rng = np.random.default_rng(5)
     core = np.concatenate([rng.random((2940, 2)) * 1e-6, rng.random((60, 2)) * 1e6])
     x, y = nodes_at(dict.fromkeys(map(tuple, core.tolist()))).coordinates()
-    cap = construct._MAX_CELLS * len(x)
+    cap = geometry._MAX_CELLS * len(x)
     grid = _grid(x, y)
     assert grid.gx * grid.gy <= cap
-    monkeypatch.setattr(construct, "_MAX_CELLS", 10**6)
+    monkeypatch.setattr(geometry, "_MAX_CELLS", 10**6)
     grid = _grid(x, y)
     assert grid.gx * grid.gy > cap
 

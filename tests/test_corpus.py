@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conegraph import corpus
+from conegraph import corpus, voidcheck
 from conegraph.construct import build, undirect, build_directed_theta, build_directed_yao
 from conegraph.corpus import (
     CorpusEntry,
@@ -442,7 +442,7 @@ def test_search_batch_of_mixed_sizes_is_one_kernel_and_one_scan_pass(monkeypatch
     calls, sizes = [], []
 
     def counted(name):
-        real = getattr(corpus, name)
+        real = getattr(voidcheck, name)
 
         def wrapper(*args):
             calls.append(name)
@@ -450,15 +450,19 @@ def test_search_batch_of_mixed_sizes_is_one_kernel_and_one_scan_pass(monkeypatch
         return wrapper
 
     for name in ("_build_directed", "_void_witnesses"):
-        monkeypatch.setattr(corpus, name, counted(name))
+        monkeypatch.setattr(voidcheck, name, counted(name))
     real_first_void = corpus._first_void
 
     def first_void(batch, family, k):
         sizes.append({len(coords) // 2 for coords in batch})
+        calls.append("batch")
         return real_first_void(batch, family, k)
 
     monkeypatch.setattr(corpus, "_first_void", first_void)
     assert outcome(search_counterexample("yao", 5, seed=1, budget=20)) == (20, None)
     # batches of 2, 4, 8 and 5 trials; the last three mix 2 to 5 set sizes
     assert [len(s) for s in sizes] == [1, 3, 5, 2]
-    assert calls == ["_build_directed", "_void_witnesses"] * len(sizes)
+    # trial 1's has_void scans the matrix once; each batch is one kernel
+    # pass and one scan pass
+    batch = ["batch", "_build_directed", "_void_witnesses"]
+    assert calls == ["_void_witnesses"] + batch * len(sizes)

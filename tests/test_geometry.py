@@ -1,7 +1,10 @@
-"""Tests for the cone and bisector primitives."""
+"""Tests for the cone and bisector primitives, and for the package's imports."""
 
+import ast
+import graphlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from exact import exact_cone
 from hypothesis import strategies as st
 
+from conegraph import geometry
 from conegraph.geometry import (
     TAU,
     Point,
@@ -410,3 +414,45 @@ def test_point_rejects_bools_non_reals_and_ints_beyond_doubles(value):
         Point(value, 0.0)
     with pytest.raises(ValueError):
         Point(0.0, value)
+
+
+# ---------------------------------------------------------------------------
+# the package's imports
+
+
+def package_imports(tree):
+    """(statement, modules) for each import statement in tree that names
+    modules of the package; the package itself is __init__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            base = "conegraph" + (f".{node.module}" if node.module else "")
+            names = [base] if node.module else [f"{base}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        parts = [name.split(".") for name in names]
+        modules = {p[1] if len(p) > 1 else "__init__" for p in parts if p[0] == "conegraph"}
+        if modules:
+            yield node, modules
+
+
+def test_package_imports_are_module_level_and_acyclic_with_geometry_at_the_bottom():
+    # importing a module never runs a package import later, the modules
+    # import one another without a cycle, and geometry, which the cell index
+    # and the cone rule share, imports nothing from the package
+    graph = {}
+    for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        graph[path.stem] = set()
+        for node, modules in package_imports(tree):
+            assert node in tree.body, f"{path.name}:{node.lineno} imports {modules} in a body"
+            graph[path.stem] |= modules
+    assert graph["voidcheck"] >= {"construct", "geometry", "model"}
+    assert graph["geometry"] == set()
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {exc.args[1]}")

@@ -555,7 +555,7 @@ def test_csv_rejects_malformed_rows(row):
 def test_node_set_json_rejects_garbage():
     with pytest.raises(ValueError, match="invalid JSON"):
         node_set_from_json("{nope")
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError, match="^malformed node-set data: 'nodes'$"):
         node_set_from_json('{"wrong": []}')
     # a JSON integer beyond the double range
     with pytest.raises(ValueError, match="malformed node-set data"):
@@ -578,7 +578,7 @@ def test_json_integers_past_the_digit_limit_are_invalid_json():
 def test_node_set_json_ids_must_be_strings_or_integers(node_id):
     text = '{"nodes": [{"id": %s, "x": 0, "y": 0}]}'
     message = f"node id must be a string or an integer, got {json.loads(node_id)!r}"
-    with pytest.raises(ValueError, match=re.escape(f"malformed node-set data: {message}")):
+    with pytest.raises(ValueError, match=re.escape(f"malformed node-set data: entry 0: {message}")):
         node_set_from_json(text % node_id)
     assert node_set_from_json(text % "7").ids == ("7",)
 
@@ -589,6 +589,23 @@ def test_node_set_json_coordinates_must_be_numbers(x):
         node_set_from_json('{"nodes": [{"id": "a", "x": %s, "y": 0}]}' % x)
     with pytest.raises(ValueError, match="malformed node-set data"):
         node_set_from_json('{"nodes": [{"id": "a", "x": 0, "y": %s}]}' % x)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([{"id": "a", "x": 0, "y": 0}, [1, 2]],
+     "entry 1: list indices must be integers or slices, not str"),
+    ([{"id": "a", "x": 0, "y": 0}, {"id": "b", "y": 0}], "entry 1: 'x'"),
+    (5, "'int' object is not iterable"),
+])
+def test_json_entry_faults_name_the_entry_and_others_do_not(nodes, message):
+    # 0-based, as NodeSet names its entries; graphs read their nodes alike
+    with pytest.raises(ValueError) as exc:
+        node_set_from_json(json.dumps({"nodes": nodes}))
+    assert str(exc.value) == f"malformed node-set data: {message}"
+    data = {"family": "yao", "k": 6, "directed": False, "nodes": nodes, "edges": []}
+    with pytest.raises(ValueError) as exc:
+        graph_from_dict(data)
+    assert str(exc.value) == f"malformed node-set data: {message}"
 
 
 # The parsers check each entry in order, its keys or fields, then its id,
@@ -625,30 +642,33 @@ def reference_set_fault(nodes):
 
 def reference_json_fault(entries):
     """A scalar statement of the JSON node-set contract: the message for
-    the first faulty entry, else the set-level message, else None. Within
-    an entry: its keys, then its id, then x and y in turn."""
-    for e in entries:
+    the first faulty entry, naming its index, else the set-level message,
+    else None. Within an entry: its keys, then its id, then x and y in turn."""
+    for n, e in enumerate(entries):
+        fault = f"malformed node-set data: entry {n}: "
         for key in ("id", "x", "y"):
             if key not in e:
-                return f"malformed node-set data: {key!r}"
+                return fault + repr(key)
         if type(e["id"]) not in (str, int):
-            return ("malformed node-set data: "
-                    f"node id must be a string or an integer, got {e['id']!r}")
+            return fault + f"node id must be a string or an integer, got {e['id']!r}"
         for name in ("x", "y"):
             v = e[name]
             if type(v) not in (int, float):
-                return f"malformed node-set data: coordinates must be real numbers, got {v!r}"
+                return fault + f"coordinates must be real numbers, got {v!r}"
             if type(v) is int and abs(v) > 10**308:
-                return f"malformed node-set data: {name} coordinate is beyond the double range"
+                return fault + f"{name} coordinate is beyond the double range"
         x, y = float(e["x"]), float(e["y"])
         if not (math.isfinite(x) and math.isfinite(y)):
-            return f"malformed node-set data: non-finite coordinates: ({x}, {y})"
+            return fault + f"non-finite coordinates: ({x}, {y})"
     return reference_set_fault([(str(e["id"]), (float(e["x"]), float(e["y"]))) for e in entries])
 
 
-# CSV coordinate fields and the double each parses to; None where it is no number
+# CSV coordinate fields and the double each parses to; None where it is no
+# number: float() reads digit-group underscores and non-ASCII digits (here
+# Arabic-Indic 12 and a fullwidth 1), which the parser refuses
 CSV_FIELDS = {"0": 0.0, "1.5": 1.5, "-2": -2.0, " 2 ": 2.0, "-0": -0.0, "1e999": math.inf,
-              "inf": math.inf, "nan": math.nan, "zz": None, "": None}
+              "inf": math.inf, "nan": math.nan, "zz": None, "": None,
+              "1_000": None, "\u0661\u0662": None, "\uff11": None}
 
 
 def reference_csv_fault(rows):

@@ -14,7 +14,7 @@ from test_construct import (
     shaped_set, source_cones,
 )
 
-from conegraph import construct, voidcheck
+from conegraph import model, voidcheck
 from conegraph.construct import build, build_directed_yao
 from conegraph.corpus import load_corpus, random_nodeset
 from conegraph.geometry import TAU, Point, bisector_projection, cone_of
@@ -342,13 +342,13 @@ def test_one_grid_per_node_set(monkeypatch):
     # scans and void checks index the nodes once, and a set below both size
     # gates never does
     calls = []
-    grid_of = construct._grid
+    grid_of = model._grid
 
     def counted(x, y):
         calls.append(len(x))
         return grid_of(x, y)
 
-    monkeypatch.setattr(construct, "_grid", counted)
+    monkeypatch.setattr(model, "_grid", counted)
     for nodes in [*large_sets(0), random_nodeset(60, seed=60)]:
         calls.clear()
         for family, k in (("yao", 4), ("yao", 6), ("theta", 6)):
