@@ -7,11 +7,10 @@ broken deterministically by smallest node index; a cone whose every key
 is +inf picks its smallest index too.
 
 Construction runs a numpy kernel over blocks of source rows, each holding
-about _BLOCK_PAIRS = 2**14 candidate pairs. A stable sort of each row by
-cone index makes every cone one contiguous run, columns ascending, and
-each run's first minimum is its pick. Rows of more than 24 candidates sort
-the cones as uint16 (k < 2**16), which numpy sorts by radix; in shorter
-rows its float sort is faster. A block's transient arrays stay near
+about _BLOCK_PAIRS = 2**14 candidate pairs, and sorts nothing: it numbers
+each (row, cone) group (_cone_groups), takes each group's least key by a
+scatter-min, then the group's smallest slot that holds it by a second one,
+so the smallest column wins ties. A block's transient arrays stay near
 1.5 MiB whatever n and k are. The kernel computes no formula itself:
 cones and bisectors come from geometry._cones and geometry._bisectors,
 which geometry.cone_of and geometry.bisector_projection run too, and Yao
@@ -209,7 +208,8 @@ def _build_directed(x, y, cols, k: int, family: str, src=None):
     u*n + v. Given the source nodes src, row r of the candidate table cols
     (or its one row, shared by every source) lists node src[r]'s candidates
     in ascending order, src[r] included, and it returns the sources' picks
-    unsorted, as flat keys, with each pick's cone and key."""
+    unsorted, in (row, cone) order, as flat keys, with each pick's cone and
+    key."""
     n, m = len(x), cols.shape[1]
     step = max(1, _BLOCK_PAIRS // m)
     rows = n if src is None else len(src)
@@ -222,41 +222,68 @@ def _build_directed(x, y, cols, k: int, family: str, src=None):
         dx = x.take(c) - x[u, None]
         dy = y.take(c) - y[u, None]
         cone = _cones(dx, dy, k)
-        # u's own slots sort first, as a run of cone 0 whose pick is dropped
+        # u's own slots form its group of cone 0, whose pick is dropped
         own = _own_slots(cols, u0, u1) if src is None else (c == u[:, None]).reshape(-1)
         cone.reshape(-1)[own] = 0.0
-        # each row, stable: every cone is one run with its columns ascending
-        at = (cone.astype(np.uint16) if m > 24 and k < 1 << 16 else cone).argsort(kind="stable")
-        at += np.arange(0, cone.size, m)[:, None]
-        at = at.reshape(-1)
-        cone = cone.take(at)
-        runs = np.empty(at.size, bool)
-        runs[0] = True  # later rows open with own runs; merged ones drop together
-        np.not_equal(cone[1:], cone[:-1], out=runs[1:])
-        heads = runs.nonzero()[0]
-        run = runs.cumsum() - 1
-        cone = cone[heads]
+        g, cones = _cone_groups(cone, k)
+        groups = len(cone) * (k + 1) if cones is None else cones.size
         if family == THETA:
-            bx, by = _bisectors(cone, k)
-            key = np.abs(dx.take(at) * bx[run] + dy.take(at) * by[run])
+            bx, by = _cone_bisectors(cone, g, cones, k)
+            key = np.abs(dx * bx + dy * by).reshape(-1)
             # NaN keys (dx, dy both infinite) rank as +inf; the scan instead
             # keeps a NaN that comes first in its cone
             np.fmin(key, np.inf, out=key)
         else:
-            key = _norm(dx, dy).take(at)
-        # each run's first minimum is at its smallest column, and a repeated
-        # candidate comes after the original; every run holds a minimum
-        hit = (key == np.minimum.reduceat(key, heads)[run]).nonzero()[0]
-        first = hit[hit.searchsorted(heads[cone > 0])]
-        pick = at.take(first)
+            key = _norm(dx, dy).reshape(-1)
+        # each group's pick is its smallest slot of least key: its smallest
+        # column, as a repeated candidate comes after the original
+        best = np.full(groups, np.inf)
+        np.minimum.at(best, g, key)
+        hit = (key == best.take(g)).nonzero()[0]
+        first = np.full(groups, key.size)
+        np.minimum.at(first, g.take(hit), hit)
+        # the picks of the groups of cone 1 and up that hold a slot
+        if cones is None:
+            first = first.reshape(-1, k + 1)[:, 1:]
+            chosen = first < key.size
+        else:
+            chosen = cones > 0
+        pick = first[chosen]
         if src is None:
             # the block's flat index (u - u0)*n + v, plus u0*n, is the key u*n + v
             picks.append(pick + u0 * n)
         else:
-            picks.append((((u * n)[:, None] + c).take(pick), cone[cone > 0], key.take(first)))
+            cone = chosen.nonzero()[1] + 1.0 if cones is None else cones[chosen]
+            picks.append((((u * n)[:, None] + c).take(pick), cone, key.take(pick)))
     if src is not None:
         return tuple(map(np.concatenate, zip(*picks)))
     return np.sort(np.concatenate(picks))
+
+
+def _cone_groups(cone, k: int):
+    """Number the (row, cone) groups of the (rows, m) float array cone in
+    (row, cone) order. Returns each entry's group id, flat, and each group's
+    cone, or None where the ids are dense: where the block's rows * (k + 1)
+    is at most 2 * _BLOCK_PAIRS, group row * (k + 1) + cone, empty groups
+    included. Above, as for huge k, the ids are the ranks of row + 1j * cone
+    among the block's values, which numpy sorts by row, then cone, so memory
+    stays flat whatever k is."""
+    b, span = len(cone), k + 1
+    if b * span <= 2 * _BLOCK_PAIRS:
+        g = cone.astype(np.intp)
+        g += np.arange(0, b * span, span)[:, None]
+        return g.reshape(-1), None
+    vals, g = np.unique((np.arange(b)[:, None] + 1j * cone).reshape(-1), return_inverse=True)
+    return g, vals.imag
+
+
+def _cone_bisectors(cone, g, cones, k: int):
+    """Bisector components (sin, cos) of each entry's cone, shaped as cone,
+    given its groups g, cones from _cone_groups: from one table over the
+    cones 0..k where the ids are dense, else from one value per group."""
+    if cones is None:
+        return (b.take(cone.astype(np.intp)) for b in _bisectors(np.arange(k + 1.0), k))
+    return (b.take(g.reshape(cone.shape)) for b in _bisectors(cones, k))
 
 
 def _own_slots(cols, u0: int, u1: int):

@@ -356,10 +356,14 @@ def _node(node_id, x, y) -> tuple:
 
 
 def node_set_from_dict(data: dict) -> NodeSet:
-    """Inverse of node_set_to_dict, naming the first faulty entry (see _node)."""
+    """Inverse of node_set_to_dict, naming the first faulty entry (see _node);
+    "nodes" must be a list."""
     nodes, n = [], None
     try:
-        for n, e in enumerate(data["nodes"]):
+        entries = data["nodes"]
+        if not isinstance(entries, list):
+            raise TypeError('"nodes" must be a list')
+        for n, e in enumerate(entries):
             nodes.append(_node(e["id"], e["x"], e["y"]))
     except (KeyError, TypeError, ValueError) as exc:
         entry = "" if n is None else f"entry {n}: "

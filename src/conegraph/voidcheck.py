@@ -28,8 +28,9 @@ witness's neighbor distance.
 
 The cone-relay checks also run over blocks of source rows, so no step
 makes a per-pair Python call. Like the construction kernel, they take
-cones and bisectors from geometry._cones and geometry._bisectors and
-distances from model._norm, so both decide every pair the same way.
+cones from geometry._cones, (row, cone) slots and bisectors from
+construct._cone_groups and construct._cone_bisectors, and distances from
+model._norm, so both decide every pair the same way.
 """
 
 import math
@@ -41,11 +42,12 @@ import numpy as np
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
 from .geometry import (
-    _DELTA, _EPS, _KEY_MIN, _bisectors, _check_k, _cones, _ranges, cone_of)  # noqa: F401
+    _DELTA, _EPS, _KEY_MIN, _check_k, _cones, _ranges, cone_of)  # noqa: F401
 from .model import (
     THETA, YAO, GeometricGraph, NodeSet, VoidWitness, _csr, _distances, _norm, _symmetric_keys)
 from .construct import (
-    _BLOCK_PAIRS, _build_directed, _own_slots, build_directed_theta, build_directed_yao)
+    _BLOCK_PAIRS, _build_directed, _cone_bisectors, _cone_groups, _own_slots,
+    build_directed_theta, build_directed_yao)
 # greedy_route is not called here; the benchmark harness wraps it through
 # this module's namespace, and `perfbench/run.py --trace 1` fails without it
 from .routing import greedy_route  # noqa: F401
@@ -412,11 +414,10 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
         dx = nodes.x - nodes.x[r0:r1, None]
         dy = nodes.y - nodes.y[r0:r1, None]
         cone = _cones(dx, dy, k)
-        # ranking the cone values makes (row, cone) a dense slot whatever k is
-        vals, rank = np.unique(cone, return_inverse=True)
-        rank = rank.reshape(cone.shape)  # numpy 1.x returns it flat
-        slots = b * len(vals)
-        slot = rank + np.arange(0, slots, len(vals))[:, None]
+        # each pair's (row, cone) slot, numbered as the construction kernel does
+        slot, cones = _cone_groups(cone, k)
+        slots = b * (k + 1) if cones is None else cones.size
+        slot = slot.reshape(cone.shape)
         # each pair's pick w is u's edge in v's cone; keys are sorted by source
         e0, e1 = keys.searchsorted((r0 * n, r1 * n))
         eu, ew = np.divmod(keys[e0:e1], n)
@@ -435,8 +436,8 @@ def _check_cone_relay(nodes: NodeSet, k: int, family: str) -> list[str]:
             key = d_uv = _norm(dx, dy)
         else:
             # w shares v's cone, so one bisector per pair serves both projections
-            bx, by = _bisectors(vals, k)
-            key = dx * bx[rank] + dy * by[rank]
+            bx, by = _cone_bisectors(cone, slot, cones, k)
+            key = dx * bx + dy * by
             d_uv = _norm(dx, dy)
         selected = ~(key[src, w] <= key) & tested
         farther = ~(_norm(nodes.x - nodes.x[w], nodes.y - nodes.y[w]) < d_uv) & tested

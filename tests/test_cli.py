@@ -104,6 +104,10 @@ INPUT_FAULTS = [
      "malformed node-set data: entry 1: 'x'"),
     ("csv", "id,x,y\na,0,0\nb,1_000,0\n",
      "malformed CSV node row ['b', '1_000', '0']: could not convert string to float: '1_000'"),
+    # "nodes" that is not a list has no entries to name
+    ("json", '{"nodes": {"a": 1}}', 'malformed node-set data: "nodes" must be a list'),
+    ("json", '{"nodes": "ab"}', 'malformed node-set data: "nodes" must be a list'),
+    ("json", '{"nodes": null}', 'malformed node-set data: "nodes" must be a list'),
 ]
 
 

@@ -449,16 +449,63 @@ def test_batch_of_mixed_sizes_across_kernel_blocks(monkeypatch, block):
 @pytest.mark.parametrize("k", [2**16 - 1, 2**16, 2**64 - 1, 2**70])
 @pytest.mark.parametrize("family", ["yao", "theta"])
 def test_kernel_matches_reference_at_sort_key_boundaries(k, family):
-    # rows of more than 24 candidates sort cones as 16-bit integers below
-    # k = 2**16 and as floats from there on, and 2**64 - 1 rounds to 2**64 as
-    # a double. Lattice points due north of a node are in its cone k, which a
-    # 16-bit key would wrap to 0; the 17 ray points are a row of float keys.
+    # at these k a block's rows * (k + 1) is far above 2 * _BLOCK_PAIRS, so
+    # the kernel numbers its (row, cone) groups compactly, and 2**64 - 1
+    # rounds to 2**64 as a double. Lattice points due north of a node are in
+    # its cone k, its row's last group; the 17 ray points fill many cones.
     lattice = [(x, y) for x in range(5) for y in range(6)]
     sets = [nodes_at(lattice), nodes_at(turned(lattice, 1)), nodes_at(RAYS),
             random_nodeset(60, seed=k % 997)]
     for ns in sets:
         assert_matches_reference(ns, k, family)
     assert_batch_matches_per_graph(sets + list(map(nodes_at, ONE_AND_TWO_NODE_SETS)), k, family)
+
+
+# the origin sees the last two points at keys that are equal as doubles, in
+# one cone: both families must pick the smaller index
+TIES = [(0, 0), (1e8, 2e-5), (1e8, 1e-5)]
+
+
+@pytest.mark.parametrize("k", [2**14 - 1, 2**14, 2**15])
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_dense_and_compact_group_ids_agree_within_one_call(k, family, monkeypatch):
+    # each call runs blocks of rows - 1 rows with compact (row, cone) ids,
+    # then one row with dense ones: rows * (k + 1) crosses 2 * _BLOCK_PAIRS
+    dense, cone_groups = [], construct._cone_groups
+
+    def recorded(cone, k):
+        g, cones = cone_groups(cone, k)
+        dense.append(cones is None)
+        return g, cones
+
+    def crossing(rows, m):
+        block = (rows - 1) * m
+        assert (rows - 1) * (k + 1) > 2 * block >= k + 1
+        monkeypatch.setattr(construct, "_BLOCK_PAIRS", block)
+
+    monkeypatch.setattr(construct, "_cone_groups", recorded)
+    lattice = nodes_at([(x, y) for x in range(14) for y in range(14)] + TIES[1:])
+    crossing(len(lattice), len(lattice))
+    assert_matches_reference(lattice, k, family)
+    assert set(dense) == {False, True}
+    sets = [lattice, nodes_at(TIES), nodes_at(RAYS)] + list(map(nodes_at, ONE_AND_TWO_NODE_SETS))
+    rows = sum(map(len, sets))
+    crossing(rows, len(lattice))
+    dense.clear()
+    assert_batch_matches_per_graph(sets, k, family)
+    assert set(dense) == {False, True}
+
+
+@pytest.mark.parametrize("family", ["yao", "theta"])
+def test_relay_checks_agree_on_dense_and_compact_group_ids(family, monkeypatch):
+    check = check_yao_cone_relay if family == "yao" else check_theta_cone_relay
+    lattice = nodes_at([(x, y) for x in range(9) for y in range(9)] + TIES[1:])
+    for k in (6, 12, 2**14):
+        found = []
+        for block in (1 << 30, 1):  # every block dense, then every block compact
+            monkeypatch.setattr(construct, "_BLOCK_PAIRS", block)
+            found.append(check(lattice, k))
+        assert found[0] == found[1], (family, k)
 
 
 # ---------------------------------------------------------------------------

@@ -595,7 +595,7 @@ def test_node_set_json_coordinates_must_be_numbers(x):
     ([{"id": "a", "x": 0, "y": 0}, [1, 2]],
      "entry 1: list indices must be integers or slices, not str"),
     ([{"id": "a", "x": 0, "y": 0}, {"id": "b", "y": 0}], "entry 1: 'x'"),
-    (5, "'int' object is not iterable"),
+    (5, '"nodes" must be a list'),
 ])
 def test_json_entry_faults_name_the_entry_and_others_do_not(nodes, message):
     # 0-based, as NodeSet names its entries; graphs read their nodes alike
