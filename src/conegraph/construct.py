@@ -48,7 +48,8 @@ import numpy as np
 
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
-from .geometry import _DELTA, _KEY_MIN, _Grid, _bisectors, _check_k, _cones, cone_of  # noqa: F401
+from .geometry import (  # noqa: F401
+    _DELTA, _KEY_MIN, _Grid, _bisectors, _check_k, _cones, _padded_pieces, cone_of)
 from .model import THETA, YAO, GeometricGraph, NodeSet, _norm, _symmetric_keys
 
 # Ordered pairs per kernel block. About ten arrays of this many 8-byte
@@ -169,20 +170,15 @@ def _grid_keys(grid: _Grid, k: int, family: str) -> np.ndarray:
     for _ in range(2):
         if not rows.size:
             break
-        # rows by block size, largest first, in tables of at most
-        # _TABLE_ENTRIES entries, each as wide as its first row's block
-        size = grid.count(rows, r)
-        by_size = (-size).argsort(kind="stable")
-        rows, r, size = rows[by_size], r[by_size], size[by_size]
-        failed, r0 = [], 0
-        while r0 < rows.size:
-            m = int(size[r0])
-            r1 = r0 + max(1, _TABLE_ENTRIES // m)
-            src, count = rows[r0:r1], size[r0:r1]
+        # rows by block size, largest first, in tables of at most _TABLE_ENTRIES
+        # entries, each as wide as its first row's block (geometry._padded_pieces)
+        size, failed = grid.count(rows, r), []
+        for i, m in _padded_pieces(size, _TABLE_ENTRIES):
+            src, count = rows[i], size[i]
             # u's candidates are its block's nodes: a table row padded with
             # n, then sorted, its padding replaced by its largest candidate
             table = np.full((src.size, m), n)
-            table[np.arange(m) < count[:, None]] = grid.gather(src, r[r0:r1])
+            table[np.arange(m) < count[:, None]] = grid.gather(src, r[i])
             table.sort(axis=1)
             np.minimum(table, table[np.arange(src.size), count - 1][:, None], out=table)
             got, cone, key = _build_directed(x, y, table, k, family, src)
@@ -190,10 +186,9 @@ def _grid_keys(grid: _Grid, k: int, family: str) -> np.ndarray:
             row = slot[got // n]
             best = np.full((src.size, k), np.inf)
             best[row, cone.astype(np.intp) - 1] = key
-            ok = ((best >= _KEY_MIN) & (best <= grid.cone_gaps(src, r[r0:r1], k) * lim)).all(1)
+            ok = ((best >= _KEY_MIN) & (best <= grid.cone_gaps(src, r[i], k) * lim)).all(1)
             keys.append(got[ok[row]])
-            failed.append(r0 + (~ok).nonzero()[0])
-            r0 = r1
+            failed.append(i[~ok])
         failed = np.concatenate(failed)
         rows, r = rows[failed], 2 * r[failed]
     if rows.size:
@@ -223,7 +218,7 @@ def _build_directed(x, y, cols, k: int, family: str, src=None):
         dy = y.take(c) - y[u, None]
         cone = _cones(dx, dy, k)
         # u's own slots form its group of cone 0, whose pick is dropped
-        own = _own_slots(cols, u0, u1) if src is None else (c == u[:, None]).reshape(-1)
+        own = slice(u0, None, m + 1) if src is None else (c == u[:, None]).reshape(-1)
         cone.reshape(-1)[own] = 0.0
         g, cones = _cone_groups(cone, k)
         groups = len(cone) * (k + 1) if cones is None else cones.size
@@ -284,11 +279,3 @@ def _cone_bisectors(cone, g, cones, k: int):
     if cones is None:
         return (b.take(cone.astype(np.intp)) for b in _bisectors(np.arange(k + 1.0), k))
     return (b.take(g.reshape(cone.shape)) for b in _bisectors(cones, k))
-
-
-def _own_slots(cols, u0: int, u1: int):
-    """Index of u's own slots in the flattened rows u0..u1-1 of the candidate
-    table cols; in the shared row np.arange(n)[None], column u."""
-    if len(cols) == 1:
-        return slice(u0, None, cols.shape[1] + 1)
-    return (cols[u0:u1] == np.arange(u0, u1)[:, None]).reshape(-1)

@@ -359,3 +359,14 @@ def _ranges(lo, size):
     at = np.repeat(lo - size.cumsum() + size, size)
     at += np.arange(at.size)
     return at
+
+
+def _padded_pieces(width, budget: int):
+    """The rows of a table whose row i is width[i] > 0 entries wide, widest
+    first (stable), in pieces each padded to the width w of its first row:
+    max(1, budget // w) rows, so its padded entries fit the budget or it is
+    one row. Yields (row indices, w) per piece."""
+    order = (-width).argsort(kind="stable")
+    while order.size:
+        piece, order = np.split(order, [max(1, budget // width[order[0]])])
+        yield piece, int(width[piece[0]])

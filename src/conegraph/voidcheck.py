@@ -41,13 +41,12 @@ import numpy as np
 
 # cone_of is not called here; the benchmark harness counts calls to it
 # through this module's namespace, so the name stays importable
-from .geometry import (
-    _DELTA, _EPS, _KEY_MIN, _check_k, _cones, _ranges, cone_of)  # noqa: F401
+from .geometry import (  # noqa: F401
+    _DELTA, _EPS, _KEY_MIN, _check_k, _cones, _padded_pieces, _ranges, cone_of)
 from .model import (
     THETA, YAO, GeometricGraph, NodeSet, VoidWitness, _csr, _distances, _norm, _symmetric_keys)
-from .construct import (
-    _BLOCK_PAIRS, _build_directed, _cone_bisectors, _cone_groups, _own_slots,
-    build_directed_theta, build_directed_yao)
+from .construct import (_BLOCK_PAIRS, _build_directed, _cone_bisectors, _cone_groups,
+                        build_directed_theta, build_directed_yao)
 # greedy_route is not called here; the benchmark harness wraps it through
 # this module's namespace, and `perfbench/run.py --trace 1` fails without it
 from .routing import greedy_route  # noqa: F401
@@ -74,11 +73,11 @@ _CELL_SCAN_NODES = 500
 # A neighbor w of u whose squared distance to v is at most (1 - _TIE) times
 # u's is strictly closer to v in doubles too (see _cell_reach)
 _TIE = 2.0**-40
-# The cell scan runs in pieces of about _CELL_ENTRIES entries: rows of q's
-# in _cell_reach, gathered candidates and (pair, neighbor) slots in
-# _cell_witnesses. On the benchmark's 1,000-node `large` sets its traced
-# peak was 1.5 to 1.7 MiB at 2**13, and 2.8 to 3.9 MiB at 2**14 to 2**16
-# (construction's _TABLE_ENTRIES is 2**15), at about the same speed.
+# The cell scan runs in pieces of about _CELL_ENTRIES entries: padded rows of
+# q's in _cell_reach, widest first (geometry._padded_pieces), and gathered
+# candidates and (pair, neighbor) slots in _cell_witnesses. On `large`'s sets
+# the traced peak was 1.5 to 1.7 MiB at 2**13, and 2.8 to 3.9 MiB at 2**14 to
+# 2**16 (construction's _TABLE_ENTRIES is 2**15), at about the same speed.
 _CELL_ENTRIES = 1 << 13
 
 
@@ -165,7 +164,10 @@ def _void_witnesses(dist, cols, indptr, indices):
         best[deg[r0:r1] == 0] = np.inf
         d = dist[r0:r1]
         mask = best >= d
-        mask.reshape(-1)[_own_slots(cols, r0, r1)] = False  # u == v
+        if len(cols) > 1:  # u == v
+            mask &= cols[r0:r1] != np.arange(r0, r1)[:, None]
+        else:
+            mask.reshape(-1)[r0::m + 1] = False
         if np.count_nonzero(mask):
             r, j = mask.nonzero()
             u = r + r0
@@ -196,14 +198,13 @@ def _cell_witnesses(grid, indptr, indices):
     """The pair scan over one undirected graph on the grid of its nodes, from
     their coordinates, without a distance matrix. u's targets are the nodes
     within its reach (_cell_reach), gathered through the grid's block query;
-    a node without a certified reach gets every node.
-    Yields as _scan does, in pieces of about _CELL_ENTRIES gathered
-    candidates."""
+    a node without a certified reach gets every node. Reaches are bounded in
+    pieces cut by geometry._padded_pieces, rows of degree + 4 q's. Yields as
+    _scan does, in pieces of about _CELL_ENTRIES gathered candidates."""
     x, y, n = grid.x, grid.y, len(grid.x)
-    rows = max(1, _CELL_ENTRIES // (int((indptr[1:] - indptr[:-1]).max()) + 4))
-    reach = np.concatenate([_cell_reach(grid, indptr, indices, np.arange(a, min(a + rows, n)))
-                            for a in range(0, n, rows)])
-    reach *= 1 + _EPS
+    reach = np.empty(n)
+    for i, _ in _padded_pieces(indptr[1:] - indptr[:-1] + 4, _CELL_ENTRIES):
+        reach[i] = _cell_reach(grid, indptr, indices, i) * (1 + _EPS)
     r = grid.radius(reach)
     count = grid.count(np.arange(n), r)
     for a, b in _pieces(count):

@@ -713,11 +713,16 @@ def test_grid_matches_shared_row_above_k_32(k):
 def test_grid_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatch):
     # the equivalence tests would pass if every node fell through to the
     # shared row; on the benchmark's sets the first round must certify most
-    # nodes, and few may reach the shared row
+    # nodes, and few may reach the shared row. A table holds at most
+    # _TABLE_ENTRIES entries, or one row
     tabled, shared = [], []
 
     def kernel(x, y, cols, k, family, src=None):
-        (shared if cols.shape == (1, len(x)) else tabled).append(len(src))
+        if cols.shape == (1, len(x)):
+            shared.append(len(src))
+        else:
+            assert cols.size <= construct._TABLE_ENTRIES or len(cols) == 1
+            tabled.append(len(src))
         return _build_directed(x, y, cols, k, family, src)
 
     monkeypatch.setattr(construct, "_build_directed", kernel)

@@ -19,6 +19,7 @@ from conegraph.geometry import (
     _angles,
     _bisectors,
     _cones,
+    _padded_pieces,
     bisector_direction,
     bisector_projection,
     clockwise_angle_from_north,
@@ -414,6 +415,24 @@ def test_point_rejects_bools_non_reals_and_ints_beyond_doubles(value):
         Point(value, 0.0)
     with pytest.raises(ValueError):
         Point(0.0, value)
+
+
+# ---------------------------------------------------------------------------
+# _padded_pieces, the cut of grid tables and of reach pieces
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=200), st.integers(1, 2000))
+def test_padded_pieces_cover_every_row_once_widest_first_within_budget(widths, budget):
+    width = np.array(widths)
+    pieces = list(_padded_pieces(width, budget))
+    rows = np.concatenate([i for i, _ in pieces])
+    assert sorted(rows.tolist()) == list(range(len(widths)))
+    ws = [w for _, w in pieces]
+    assert ws == sorted(ws, reverse=True)
+    for i, w in pieces:
+        assert len(i) * w <= budget or len(i) == 1
+        assert w == width[i].max()
 
 
 # ---------------------------------------------------------------------------

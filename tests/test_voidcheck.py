@@ -297,7 +297,9 @@ def test_cell_scan_keeps_targets_that_doubles_cannot_separate():
 def test_cell_scan_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatch):
     # the equivalence tests would pass if every node scanned every target; on
     # the benchmark's sets the cells must keep a few targets per node, and
-    # few nodes may go without a certified reach
+    # few nodes may go without a certified reach. Reach pieces hold at most
+    # _CELL_ENTRIES padded q's, or one row, and give the reaches of one call
+    # over all rows
     kept, reaches = [], []
     nearest_of, reach_of = voidcheck._nearest, voidcheck._cell_reach
 
@@ -305,9 +307,11 @@ def test_cell_scan_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatc
         kept.append(len(u))
         return nearest_of(x, y, u, v, indptr, indices)
 
-    def reach(*args):
-        reaches.append(reach_of(*args))
-        return reaches[-1]
+    def reach(grid, indptr, indices, src):
+        deg = indptr[src + 1] - indptr[src]
+        assert len(src) * (deg.max() + 4) <= voidcheck._CELL_ENTRIES or len(src) == 1
+        reaches.append((src, reach_of(grid, indptr, indices, src)))
+        return reaches[-1][1]
 
     monkeypatch.setattr(voidcheck, "_nearest", nearest)
     monkeypatch.setattr(voidcheck, "_cell_reach", reach)
@@ -319,7 +323,12 @@ def test_cell_scan_certifies_most_nodes_of_uniform_and_clustered_sets(monkeypatc
         check_void_free(g)
         n = len(nodes)
         assert n <= sum(kept) <= most * n
-        assert np.isinf(np.concatenate(reaches)).sum() < 0.05 * n
+        pieced = np.full(n, np.nan)
+        for src, r in reaches:
+            pieced[src] = r
+        whole = reach_of(g.nodes._grid, *g.csr, np.arange(n))
+        assert pieced.tobytes() == whole.tobytes()
+        assert np.isinf(whole).sum() < 0.05 * n
 
 
 def test_void_scan_of_3000_nodes_builds_no_distance_matrix():
